@@ -14,7 +14,6 @@ from .exact import (
     PoiCombination,
     SolveOutcome,
     aggregated_distance,
-    default_workers,
     dump_query,
     enumerate_combinations,
     evaluate_route,
@@ -105,7 +104,6 @@ __all__ = [
     "bulk_load",
     "compare_solvers",
     "component_labels",
-    "default_workers",
     "dump_query",
     "enumerate_combinations",
     "euclidean_gnn",

@@ -13,7 +13,7 @@ import sys
 from pathlib import Path
 from typing import Optional, Sequence
 
-from .exact import default_workers, load_query, solve_exact
+from .exact import load_query, solve_exact
 from .experiments import (
     SweepConfig,
     bench_to_csv,
@@ -46,7 +46,6 @@ def build_parser() -> argparse.ArgumentParser:
     pe.add_argument("--query", required=True, help="query JSON file")
     pe.add_argument("--faithful", action="store_true", help="literal full enumeration")
     pe.add_argument("--debug-matrix", help="write per-combination CSV here")
-    pe.add_argument("--workers", type=int, help="parallel workers (default: EFGTP_THREADS or CPUs)")
     pe.set_defaults(func=_cmd_solve_exact)
 
     ph = sub.add_parser("solve-heuristic", help="greedy GNN/NN solve of one query file")
@@ -72,14 +71,11 @@ def _cmd_solve_exact(args) -> int:
     net = load_network(args.graph, args.coords)
     query = load_query(Path(args.query).read_text(), net)
     oracle = build_oracle(net)
-    workers = args.workers if args.workers else default_workers()
     if args.debug_matrix:
         with open(args.debug_matrix, "w", encoding="utf-8", newline="") as fh:
-            out = solve_exact(
-                query, oracle, faithful=args.faithful, workers=workers, debug_matrix=fh
-            )
+            out = solve_exact(query, oracle, faithful=args.faithful, debug_matrix=fh)
     else:
-        out = solve_exact(query, oracle, faithful=args.faithful, workers=workers)
+        out = solve_exact(query, oracle, faithful=args.faithful)
     ext = net.external_ids
     if out.feasible:
         r = out.optimal

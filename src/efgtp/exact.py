@@ -10,8 +10,9 @@ Summation order is pinned everywhere (source leg, chain legs left to
 right, destination leg; members in index order) so results are bit-stable
 and exact comparisons are meaningful. Because the chain term is shared by
 all members, the envy gap of a combination depends only on its first and
-last POIs; the default solve exploits that to scan first/last pairs, while
-faithful mode evaluates every combination literally.
+last POIs, and every path computes it from them (_end_gap). The default
+solve exploits that to scan first/last pairs, while faithful mode
+evaluates every combination literally.
 """
 
 from __future__ import annotations
@@ -21,8 +22,6 @@ import itertools
 import json
 import logging
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import IO, Iterator, Optional
 
@@ -112,15 +111,41 @@ def validate_combination(categories: CategoryAssignment, rho: PoiCombination) ->
             raise ValueError(f"POI {v} is not in category {i}")
 
 
-def _member_distances(
-    query: EfGtpQuery, rho: PoiCombination, oracle: DistanceOracle
-) -> list[float]:
-    # Pinned order: source leg, chain legs left to right, destination leg.
-    vals = [oracle.dist(s, rho[0]) for s in query.group.sources]
-    for j in range(len(rho) - 1):
-        leg = oracle.dist(rho[j], rho[j + 1])
-        vals = [x + leg for x in vals]
-    return [x + oracle.dist(rho[-1], d) for x, d in zip(vals, query.group.destinations)]
+def _member_distances(s, chain, t) -> list[float]:
+    """Per-member trips in the pinned order: source leg, chain legs left to
+    right, destination leg. s and t hold the per-member end legs."""
+    for leg in chain:
+        s = [x + leg for x in s]
+    return [x + y for x, y in zip(s, t)]
+
+
+def _end_gap(s, t):
+    """Envy gap from the end legs: max - min over members of s_i + t_i.
+
+    The chain term is shared by all members and cancels, so this is the gap
+    of every combination with these end legs; on exact arithmetic it equals
+    the largest pairwise difference of the trips. Takes one combination's
+    legs as lists of floats, or arrays whose last axis runs over members
+    (leading axes broadcast); both give the same bits.
+    """
+    if isinstance(s, list):  # one route: plain floats beat numpy's per-call cost
+        ends = [x + y for x, y in zip(s, t)]
+        return max(ends) - min(ends)
+    ends = s + t
+    return ends.max(axis=-1) - ends.min(axis=-1)
+
+
+def _route(combo, s, chain, t, threshold: float) -> EvaluatedRoute:
+    """Evaluate one combination from its source, chain and destination legs."""
+    vals = _member_distances(s, chain, t)
+    gap = _end_gap(s, t)
+    return EvaluatedRoute(
+        combination=combo,
+        per_member=tuple(vals),
+        aggregated=sum(vals),  # left to right in member order
+        max_gap=gap,
+        feasible=gap <= threshold,
+    )
 
 
 def individual_distance(
@@ -129,54 +154,34 @@ def individual_distance(
     """Trip length of one member through the POI chain."""
     if not (0 <= member_index < query.b):
         raise ValueError(f"member index {member_index} out of range [0, {query.b})")
-    s = query.group.sources[member_index]
-    d = query.group.destinations[member_index]
-    total = oracle.dist(s, rho[0])
-    for j in range(len(rho) - 1):
-        total = total + oracle.dist(rho[j], rho[j + 1])
-    return total + oracle.dist(rho[-1], d)
+    return evaluate_route(query, rho, oracle).per_member[member_index]
 
 
 def aggregated_distance(
     query: EfGtpQuery, rho: PoiCombination, oracle: DistanceOracle
 ) -> float:
     """Total distance over all members (sum of individual trips, member order)."""
-    return sum(_member_distances(query, rho, oracle))
+    return evaluate_route(query, rho, oracle).aggregated
 
 
 def max_pair_gap(
     query: EfGtpQuery, rho: PoiCombination, oracle: DistanceOracle
 ) -> float:
-    """Largest pairwise difference between members' individual distances."""
-    vals = _member_distances(query, rho, oracle)
-    best = 0.0
-    for i in range(len(vals)):
-        for j in range(i + 1, len(vals)):
-            gap = abs(vals[i] - vals[j])
-            if gap > best:
-                best = gap
-    return best
+    """Largest pairwise difference between members' individual distances
+    (the envy gap, computed from the end legs like everywhere else)."""
+    return evaluate_route(query, rho, oracle).max_gap
 
 
 def evaluate_route(
     query: EfGtpQuery, rho: PoiCombination, oracle: DistanceOracle
 ) -> EvaluatedRoute:
     """Evaluate one combination: per-member trips, total, gap, feasibility."""
-    validate_combination(query.categories, tuple(rho))
-    vals = _member_distances(query, tuple(rho), oracle)
-    gap = 0.0
-    for i in range(len(vals)):
-        for j in range(i + 1, len(vals)):
-            g = abs(vals[i] - vals[j])
-            if g > gap:
-                gap = g
-    return EvaluatedRoute(
-        combination=tuple(rho),
-        per_member=tuple(vals),
-        aggregated=sum(vals),
-        max_gap=gap,
-        feasible=gap <= query.envy_threshold,
-    )
+    rho = tuple(rho)
+    validate_combination(query.categories, rho)
+    s = [oracle.dist(v, rho[0]) for v in query.group.sources]
+    chain = [oracle.dist(u, v) for u, v in zip(rho, rho[1:])]
+    t = [oracle.dist(rho[-1], v) for v in query.group.destinations]
+    return _route(rho, s, chain, t, query.envy_threshold)
 
 
 # ---------------------------------------------------------------------------
@@ -186,7 +191,7 @@ def evaluate_route(
 
 @dataclass
 class _Tables:
-    """Precomputed leg lookups shared by all scan strategies."""
+    """Leg lookups shared by both scans and by the reported optimum."""
 
     cats: tuple[tuple[int, ...], ...]
     s_np: np.ndarray  # (n1, b): dist(source_i, first-category POI)
@@ -219,215 +224,129 @@ def _prepare_tables(query: EfGtpQuery, oracle: DistanceOracle) -> _Tables:
     )
 
 
-def _pair_gaps(tables: _Tables, p1_range: range) -> np.ndarray:
-    """Envy gap per (first POI, last POI) pair; the chain term cancels."""
-    t_np = tables.t_np
-    out = np.empty((len(p1_range), t_np.shape[0]))
-    for i, p1 in enumerate(p1_range):
-        ends = tables.s_np[p1] + t_np  # (nk, b) end-leg sums per member
-        out[i] = ends.max(axis=1) - ends.min(axis=1)
-    return out
+def _pair_gaps(tables: _Tables) -> np.ndarray:
+    """Envy gap per (first POI, last POI) pair, shape (n1, nk); for k = 1
+    each POI is its own pair, shape (n1,)."""
+    if len(tables.cats) == 1:
+        return _end_gap(tables.s_np, tables.t_np)
+    return np.stack([_end_gap(s, tables.t_np) for s in tables.s_np])
+
+
+def _combo(cats, pos: tuple[int, ...]) -> PoiCombination:
+    """The combination at per-category positions pos."""
+    return tuple(c[p] for c, p in zip(cats, pos))
+
+
+def _table_route(query: EfGtpQuery, tables: _Tables, pos: tuple[int, ...]) -> EvaluatedRoute:
+    """Evaluate the combination at positions pos from the tables' legs, so
+    its numbers are the ones the scan compared."""
+    combo = _combo(tables.cats, pos)
+    chain = [tables.chain_rows[u][v] for u, v in zip(combo, combo[1:])]
+    s, t = tables.s_cols[pos[0]], tables.t_cols[pos[-1]]
+    return _route(combo, s, chain, t, query.envy_threshold)
 
 
 @dataclass
-class _Partial:
-    """Reduction state for one slice of the first category."""
+class _Scan:
+    """What a scan found, by per-category positions."""
 
-    best_agg: Optional[float] = None
-    best_pos: Optional[tuple[int, ...]] = None
-    best_combo: Optional[PoiCombination] = None
     feasible_count: int = 0
+    best_pos: Optional[tuple[int, ...]] = None
     min_gap: float = math.inf
     min_gap_pos: Optional[tuple[int, ...]] = None
-    min_gap_combo: Optional[PoiCombination] = None
 
 
-def _merge(partials: list[_Partial]) -> _Partial:
-    out = _Partial()
-    for p in partials:
-        out.feasible_count += p.feasible_count
-        if p.min_gap_pos is not None and (
-            out.min_gap_pos is None
-            or (p.min_gap, p.min_gap_pos) < (out.min_gap, out.min_gap_pos)
-        ):
-            out.min_gap = p.min_gap
-            out.min_gap_pos = p.min_gap_pos
-            out.min_gap_combo = p.min_gap_combo
-        if p.best_pos is not None and (
-            out.best_pos is None or (p.best_agg, p.best_pos) < (out.best_agg, out.best_pos)
-        ):
-            out.best_agg = p.best_agg
-            out.best_pos = p.best_pos
-            out.best_combo = p.best_combo
-    return out
-
-
-def _scan_faithful(
+def _scan(
     query: EfGtpQuery,
     tables: _Tables,
-    p1_range: range,
-    progress_every: int,
+    gaps: np.ndarray,
+    faithful: bool = False,
+    progress_every: int = 0,
     matrix_writer=None,
-) -> _Partial:
-    """Literal full enumeration: evaluate every combination one by one."""
+) -> _Scan:
+    """Find the cheapest feasible combination, the feasible count and the
+    first gap minimum (ties: enumeration order, lexicographic in positions).
+
+    The fast scan reads the count and the minimum off the pair table and
+    enumerates only combinations whose (first, last) pair is feasible.
+    faithful=True visits and books every combination one by one. Both take
+    each gap from the same pair table, so they agree bit for bit.
+    """
     cats = tables.cats
-    k = len(cats)
     threshold = query.envy_threshold
-    part = _Partial()
     interior = cats[1:-1]
-    interior_pos = [range(len(c)) for c in interior]
-    chain_rows = tables.chain_rows
-    total = len(p1_range) * math.prod(len(c) for c in cats[1:]) if k > 1 else len(p1_range)
+    feasible = gaps <= threshold
+    out = _Scan()
+    if not faithful:
+        first = np.unravel_index(int(np.argmin(gaps)), gaps.shape)  # row-major = enumeration order
+        out.min_gap = float(gaps[first])
+        out.min_gap_pos = (int(first[0]), *(0,) * len(interior), *map(int, first[1:]))
+        out.feasible_count = int(feasible.sum()) * math.prod(len(c) for c in interior)
+        if out.feasible_count == 0:
+            return out
+
+    total = query.categories.combination_count()
     done = 0
 
-    if k == 1:
-        for p1 in p1_range:
-            v1 = cats[0][p1]
-            vals = [s + t for s, t in zip(tables.s_cols[p1], tables.t_cols[p1])]
-            done += 1
-            _consume(part, (p1,), (v1,), vals, threshold, matrix_writer)
-            if progress_every and done % progress_every == 0:
-                logger.info("evaluated %d/%d combinations", done, total)
-        return part
+    def book(pos, gap, agg) -> bool:
+        nonlocal done
+        ok = gap <= threshold
+        if ok:
+            out.feasible_count += 1
+        if gap < out.min_gap:
+            out.min_gap, out.min_gap_pos = gap, pos
+        if matrix_writer is not None:
+            matrix_writer(_combo(cats, pos), agg, gap, ok)
+        done += 1
+        if progress_every and done % progress_every == 0:
+            logger.info("evaluated %d/%d combinations", done, total)
+        return ok
 
-    last_cat = cats[-1]
-    for p1 in p1_range:
-        v1 = cats[0][p1]
-        s_col = tables.s_cols[p1]
-        for mids in itertools.product(*(enumerate(c) for c in interior)):
-            # one combination at a time; cost stays linear in the combination count
-            for pk, vk in enumerate(last_cat):
+    best_agg, best_pos = math.inf, None
+    if len(cats) == 1:
+        for p1, gap in enumerate(gaps.tolist()):
+            if not faithful and gap > threshold:
+                continue
+            agg = sum(_member_distances(tables.s_cols[p1], (), tables.t_cols[p1]))
+            if faithful and not book((p1,), gap, agg):
+                continue
+            if agg < best_agg:
+                best_agg, best_pos = agg, (p1,)
+    else:
+        last = cats[-1]
+        chain_rows = tables.chain_rows
+        t_cols = tables.t_cols
+        for p1, v1 in enumerate(cats[0]):
+            lasts = range(len(last)) if faithful else np.flatnonzero(feasible[p1]).tolist()
+            if not lasts:
+                continue
+            s_col = tables.s_cols[p1]
+            gap_row = gaps[p1].tolist()
+            for mids in itertools.product(*(enumerate(c) for c in interior)):
+                # _member_distances's pinned order, inlined: each interior
+                # prefix is shared by every last POI, and a kernel call per
+                # combination would double the scan's cost
                 vals = s_col
                 prev = v1
                 for _, v in mids:
                     vals = [x + chain_rows[prev][v] for x in vals]
                     prev = v
-                leg = chain_rows[prev][vk]
-                vals = [(x + leg) + t for x, t in zip(vals, tables.t_cols[pk])]
-                pos = (p1, *(p for p, _ in mids), pk)
-                combo = (v1, *(v for _, v in mids), vk)
-                done += 1
-                _consume(part, pos, combo, vals, threshold, matrix_writer)
-                if progress_every and done % progress_every == 0:
-                    logger.info("evaluated %d/%d combinations", done, total)
-    return part
-
-
-def _consume(part, pos, combo, vals, threshold, matrix_writer):
-    gap = max(vals) - min(vals)  # equals the pairwise max difference
-    agg = sum(vals)
-    feasible = gap <= threshold
-    if feasible:
-        part.feasible_count += 1
-        if part.best_agg is None or agg < part.best_agg:
-            part.best_agg = agg
-            part.best_pos = pos
-            part.best_combo = combo
-    if gap < part.min_gap:
-        part.min_gap = gap
-        part.min_gap_pos = pos
-        part.min_gap_combo = combo
-    if matrix_writer is not None:
-        matrix_writer(combo, agg, gap, feasible)
-
-
-def _scan_fast(query: EfGtpQuery, tables: _Tables, p1_range: range) -> _Partial:
-    """Pair-table scan: derive gap, count, and witness from (first, last)
-    POI pairs; enumerate only combinations whose pair is feasible."""
-    cats = tables.cats
-    k = len(cats)
-    threshold = query.envy_threshold
-    part = _Partial()
-    gaps = _pair_gaps(tables, p1_range)
-
-    if k == 1:
-        diag = gaps[np.arange(len(p1_range)), np.asarray(p1_range, dtype=np.int64)]
-        for i, p1 in enumerate(p1_range):
-            gap = float(diag[i])
-            if gap < part.min_gap:
-                part.min_gap = gap
-                part.min_gap_pos = (p1,)
-                part.min_gap_combo = (cats[0][p1],)
-            if gap <= threshold:
-                part.feasible_count += 1
-                vals = [s + t for s, t in zip(tables.s_cols[p1], tables.t_cols[p1])]
-                agg = sum(vals)
-                if part.best_agg is None or agg < part.best_agg:
-                    part.best_agg = agg
-                    part.best_pos = (p1,)
-                    part.best_combo = (cats[0][p1],)
-        return part
-
-    interior = cats[1:-1]
-    interior_sizes = [len(c) for c in interior]
-    interior_prod = math.prod(interior_sizes)
-    chain_rows = tables.chain_rows
-    last_cat = cats[-1]
-
-    # min gap and its first attaining pair (row-major scan order = lexicographic)
-    flat = int(np.argmin(gaps))
-    r, pk_min = divmod(flat, gaps.shape[1])
-    part.min_gap = float(gaps[r, pk_min])
-    p1_min = p1_range[r]
-    part.min_gap_pos = (p1_min, *(0,) * len(interior), pk_min)
-    part.min_gap_combo = (
-        cats[0][p1_min],
-        *(c[0] for c in interior),
-        last_cat[pk_min],
-    )
-
-    feasible_pairs = gaps <= threshold
-    part.feasible_count = int(feasible_pairs.sum()) * interior_prod
-    if part.feasible_count == 0:
-        return part
-
-    for r, p1 in enumerate(p1_range):
-        row_mask = feasible_pairs[r]
-        if not row_mask.any():
-            continue
-        v1 = cats[0][p1]
-        s_col = tables.s_cols[p1]
-        allowed = [pk for pk in range(len(last_cat)) if row_mask[pk]]
-        for mids in itertools.product(*(enumerate(c) for c in interior)):
-            vals0 = s_col
-            prev = v1
-            for _, v in mids:
-                vals0 = [x + chain_rows[prev][v] for x in vals0]
-                prev = v
-            row_prev = chain_rows[prev]
-            for pk in allowed:
-                vk = last_cat[pk]
-                leg = row_prev[vk]
-                vals = [(x + leg) + t for x, t in zip(vals0, tables.t_cols[pk])]
-                agg = sum(vals)
-                if part.best_agg is None or agg < part.best_agg:
-                    part.best_agg = agg
-                    part.best_pos = (p1, *(p for p, _ in mids), pk)
-                    part.best_combo = (v1, *(v for _, v in mids), vk)
-    return part
-
-
-def _split_ranges(n: int, workers: int) -> list[range]:
-    workers = max(1, min(workers, n))
-    bounds = np.linspace(0, n, workers + 1).astype(int)
-    return [range(bounds[i], bounds[i + 1]) for i in range(workers) if bounds[i] < bounds[i + 1]]
-
-
-def default_workers() -> int:
-    env = os.environ.get("EFGTP_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return os.cpu_count() or 1
+                row = chain_rows[prev]
+                for pk in lasts:
+                    leg = row[last[pk]]
+                    agg = sum([(x + leg) + t for x, t in zip(vals, t_cols[pk])])
+                    if faithful and not book((p1, *(p for p, _ in mids), pk), gap_row[pk], agg):
+                        continue
+                    if agg < best_agg:
+                        best_agg, best_pos = agg, (p1, *(p for p, _ in mids), pk)
+    out.best_pos = best_pos
+    return out
 
 
 def solve_exact(
     query: EfGtpQuery,
     oracle: DistanceOracle,
     faithful: bool = False,
-    workers: int = 1,
     debug_matrix: Optional[IO[str]] = None,
     progress_every: int = PROGRESS_EVERY,
 ) -> SolveOutcome:
@@ -440,64 +359,41 @@ def solve_exact(
 
     faithful=True evaluates every combination literally; the default
     prefilters by first/last POI pairs and yields identical outcomes.
-    debug_matrix receives one CSV row per combination (forces faithful,
-    single worker; limited to 1e6 combinations).
+    debug_matrix receives one CSV row per combination (forces faithful;
+    limited to 1e6 combinations).
     """
     query.validate_against(oracle.net)
-    n1 = len(query.categories.categories[0])
-    total = query.categories.combination_count()
-
     writer_fn = None
     if debug_matrix is not None:
+        total = query.categories.combination_count()
         if total > 1_000_000:
             raise CapacityError(
                 f"debug matrix limited to 1e6 combinations, instance has {total}"
             )
         faithful = True
-        workers = 1
         writer_fn = _matrix_writer(debug_matrix, query, oracle.net)
 
     tables = _prepare_tables(query, oracle)
-    scan = (
-        (lambda rng: _scan_faithful(query, tables, rng, progress_every, writer_fn))
-        if faithful
-        else (lambda rng: _scan_fast(query, tables, rng))
-    )
-
-    ranges = _split_ranges(n1, workers)
-    if len(ranges) == 1:
-        partials = [scan(ranges[0])]
-    else:
-        with ThreadPoolExecutor(max_workers=len(ranges)) as pool:
-            partials = list(pool.map(scan, ranges))
-    part = _merge(partials)
-
-    epsilon = 0.0 if part.feasible_count else part.min_gap - query.envy_threshold
-    optimal = (
-        evaluate_route(query, part.best_combo, oracle) if part.best_combo else None
-    )
+    found = _scan(query, tables, _pair_gaps(tables), faithful, progress_every, writer_fn)
+    optimal = None if found.best_pos is None else _table_route(query, tables, found.best_pos)
     return SolveOutcome(
         optimal=optimal,
-        feasible_count=part.feasible_count,
-        min_gap=part.min_gap,
-        min_gap_witness=part.min_gap_combo,
-        epsilon=epsilon,
+        feasible_count=found.feasible_count,
+        min_gap=found.min_gap,
+        min_gap_witness=_combo(tables.cats, found.min_gap_pos),
+        epsilon=0.0 if found.feasible_count else found.min_gap - query.envy_threshold,
     )
 
 
 def gap_distribution(query: EfGtpQuery, oracle: DistanceOracle) -> np.ndarray:
     """Envy gaps of all (first, last) POI pairs (k = 1: one per POI).
 
-    Over full combinations each pair's gap repeats once per interior
-    choice, so quantiles of this array equal quantiles of the gap over
-    the whole combination space.
+    The array holds one unweighted entry per pair, although each pair
+    stands for one combination per interior choice. Its quantiles are
+    therefore quantiles over pairs, not over the combination space.
     """
     query.validate_against(oracle.net)
-    tables = _prepare_tables(query, oracle)
-    g = _pair_gaps(tables, range(len(query.categories.categories[0])))
-    if query.k == 1:
-        return np.diagonal(g).copy()
-    return g.ravel()
+    return _pair_gaps(_prepare_tables(query, oracle)).ravel()
 
 
 def min_additional_distance(
@@ -511,12 +407,13 @@ def min_additional_distance(
     """
     query.validate_against(oracle.net)
     tables = _prepare_tables(query, oracle)
-    part = _scan_fast(query, tables, range(len(query.categories.categories[0])))
-    if part.feasible_count:
+    found = _scan(query, tables, _pair_gaps(tables))
+    if found.feasible_count:
         raise ValueError(
             "query already has feasible combinations; no additional distance needed"
         )
-    return part.min_gap, part.min_gap - query.envy_threshold, part.min_gap_combo
+    witness = _combo(tables.cats, found.min_gap_pos)
+    return found.min_gap, found.min_gap - query.envy_threshold, witness
 
 
 # ---------------------------------------------------------------------------

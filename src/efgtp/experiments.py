@@ -16,19 +16,13 @@ import io
 import json
 import logging
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .exact import (
-    EfGtpQuery,
-    default_workers,
-    gap_distribution,
-    solve_exact,
-)
+from .exact import EfGtpQuery, gap_distribution, solve_exact
 from .heuristic import solve_heuristic
 from .network import (
     CategoryAssignment,
@@ -186,13 +180,32 @@ def generate_query(
 def threshold_quantiles(
     query: EfGtpQuery, oracle: DistanceOracle, quantiles: Sequence[float]
 ) -> tuple[float, ...]:
-    """Envy thresholds at the given quantiles of the instance's gap distribution."""
+    """Envy thresholds at the given quantiles of the instance's pair gaps
+    (gap_distribution: one unweighted entry per (first, last) POI pair)."""
     gaps = gap_distribution(query, oracle)
     return tuple(float(np.quantile(gaps, q)) for q in quantiles)
 
 
 def _instance_seed(seed: int, k: int) -> int:
     return 100_003 * seed + k  # one deterministic stream per (seed, k) cell
+
+
+def _instances(config: SweepConfig, net: RoadNetwork, oracle: DistanceOracle):
+    """(k, seed, query, thresholds) for each grid cell, in (k, seed) order.
+
+    The query is sampled at D = 0; thresholds come from the config's list or
+    from the instance's gap quantiles.
+    """
+    for k in config.k_values:
+        for seed in config.seeds:
+            base = _instance_seed(seed, k)
+            assignment = assign_categories(net, k, config.per_category, seed=base)
+            query = generate_query(net, config.b, assignment, D=0.0, seed=base + 1)
+            if config.d_values is not None:
+                thresholds = config.d_values
+            else:
+                thresholds = threshold_quantiles(query, oracle, config.d_quantiles)
+            yield k, seed, query, thresholds
 
 
 def load_network(dataset: str, coords: Optional[str] = None) -> RoadNetwork:
@@ -236,11 +249,7 @@ def _solve_cell(
     return feasible_count, agg, route.max_gap, eps, elapsed
 
 
-def run_sweep(
-    config: SweepConfig,
-    net: Optional[RoadNetwork] = None,
-    workers: Optional[int] = None,
-) -> list[SweepRecord]:
+def run_sweep(config: SweepConfig, net: Optional[RoadNetwork] = None) -> list[SweepRecord]:
     """One record per (k, seed, D, solver); records sorted by (k, D, seed, solver).
 
     The (k, seed) instance is fixed across the threshold grid, so exact-solver
@@ -253,16 +262,8 @@ def run_sweep(
     oracle = build_oracle(net)
     logger.info("oracle ready in %.1f ms", (time.perf_counter() - start) * 1e3)
 
-    def run_instance(cell: tuple[int, int]) -> list[SweepRecord]:
-        k, seed = cell
-        base = _instance_seed(seed, k)
-        assignment = assign_categories(net, k, config.per_category, seed=base)
-        query = generate_query(net, config.b, assignment, D=0.0, seed=base + 1)
-        if config.d_values is not None:
-            thresholds = config.d_values
-        else:
-            thresholds = threshold_quantiles(query, oracle, config.d_quantiles)
-        records = []
+    records = []
+    for k, seed, query, thresholds in _instances(config, net, oracle):
         for D in thresholds:
             q = query.with_threshold(float(D))
             for solver in config.solvers:
@@ -282,17 +283,6 @@ def run_sweep(
                         wall_time_ms=ms,
                     )
                 )
-        return records
-
-    cells = [(k, seed) for k in config.k_values for seed in config.seeds]
-    workers = workers if workers is not None else default_workers()
-    workers = max(1, min(workers, len(cells)))
-    if workers == 1:
-        batches = [run_instance(c) for c in cells]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            batches = list(pool.map(run_instance, cells))
-    records = [r for batch in batches for r in batch]
     records.sort(key=lambda r: (r.k, r.D, r.seed, r.solver))
     return records
 
@@ -326,47 +316,39 @@ def compare_solvers(
         else None
     )
     records = []
-    for k in config.k_values:
-        for seed in config.seeds:
-            base = _instance_seed(seed, k)
-            assignment = assign_categories(net, k, config.per_category, seed=base)
-            query = generate_query(net, config.b, assignment, D=0.0, seed=base + 1)
-            if config.d_values is not None:
-                thresholds = config.d_values
-            else:
-                thresholds = threshold_quantiles(query, oracle, config.d_quantiles)
-            for D in thresholds:
-                q = query.with_threshold(float(D))
-                start = time.perf_counter()
-                exact_out = solve_exact(q, oracle)
-                exact_ms = (time.perf_counter() - start) * 1e3
-                start = time.perf_counter()
-                heur = solve_heuristic(q, oracle, index=index)
-                heur_ms = (time.perf_counter() - start) * 1e3
-                exact_agg = (
-                    exact_out.optimal.aggregated if exact_out.optimal is not None else None
+    for k, seed, query, thresholds in _instances(config, net, oracle):
+        for D in thresholds:
+            q = query.with_threshold(float(D))
+            start = time.perf_counter()
+            exact_out = solve_exact(q, oracle)
+            exact_ms = (time.perf_counter() - start) * 1e3
+            start = time.perf_counter()
+            heur = solve_heuristic(q, oracle, index=index)
+            heur_ms = (time.perf_counter() - start) * 1e3
+            exact_agg = (
+                exact_out.optimal.aggregated if exact_out.optimal is not None else None
+            )
+            route = heur.route
+            ratio = (
+                route.aggregated / exact_agg
+                if exact_agg is not None and route.feasible
+                else None
+            )
+            records.append(
+                BenchRecord(
+                    dataset=config.dataset,
+                    k=k,
+                    b=config.b,
+                    D=float(D),
+                    seed=seed,
+                    exact_aggregated=exact_agg,
+                    heuristic_aggregated=route.aggregated,
+                    heuristic_feasible=route.feasible,
+                    ratio=ratio,
+                    exact_time_ms=exact_ms,
+                    heuristic_time_ms=heur_ms,
                 )
-                route = heur.route
-                ratio = (
-                    route.aggregated / exact_agg
-                    if exact_agg is not None and route.feasible
-                    else None
-                )
-                records.append(
-                    BenchRecord(
-                        dataset=config.dataset,
-                        k=k,
-                        b=config.b,
-                        D=float(D),
-                        seed=seed,
-                        exact_aggregated=exact_agg,
-                        heuristic_aggregated=route.aggregated,
-                        heuristic_feasible=route.feasible,
-                        ratio=ratio,
-                        exact_time_ms=exact_ms,
-                        heuristic_time_ms=heur_ms,
-                    )
-                )
+            )
     records.sort(key=lambda r: (r.k, r.D, r.seed))
     return records
 

@@ -12,6 +12,8 @@ from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
+from scipy.sparse import coo_matrix
+from scipy.sparse.csgraph import connected_components
 
 Edge = tuple[int, int, float]
 
@@ -312,24 +314,13 @@ def with_euclidean_weights(net: RoadNetwork) -> RoadNetwork:
 
 
 def component_labels(net: RoadNetwork) -> tuple[np.ndarray, int]:
-    """Label connected components by BFS; labels follow smallest-contained-id order."""
+    """Label connected components; labels follow smallest-contained-id order."""
     n = net.vertex_count
-    adj = net.adjacency()
-    labels = np.full(n, -1, dtype=np.int64)
-    count = 0
-    for start in range(n):
-        if labels[start] != -1:
-            continue
-        labels[start] = count
-        stack = [start]
-        while stack:
-            u = stack.pop()
-            for v, _ in adj[u]:
-                if labels[v] == -1:
-                    labels[v] = count
-                    stack.append(v)
-        count += 1
-    return labels, count
+    e = np.asarray(net.edges, dtype=np.float64).reshape(-1, 3)
+    u, v = e[:, 0].astype(np.int64), e[:, 1].astype(np.int64)
+    graph = coo_matrix((e[:, 2], (u, v)), shape=(n, n))
+    count, labels = connected_components(graph, directed=False)
+    return labels.astype(np.int64), int(count)
 
 
 def is_connected(net: RoadNetwork) -> bool:

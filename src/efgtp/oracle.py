@@ -30,14 +30,10 @@ class CapacityError(RuntimeError):
 
 def _build_csgraph(net: RoadNetwork) -> csr_matrix:
     n = net.vertex_count
-    m = len(net.edges)
-    rows = np.empty(2 * m, dtype=np.int64)
-    cols = np.empty(2 * m, dtype=np.int64)
-    data = np.empty(2 * m, dtype=np.float64)
-    for i, (u, v, w) in enumerate(net.edges):
-        rows[2 * i], cols[2 * i], data[2 * i] = u, v, w
-        rows[2 * i + 1], cols[2 * i + 1], data[2 * i + 1] = v, u, w
-    return csr_matrix((data, (rows, cols)), shape=(n, n))
+    e = np.asarray(net.edges, dtype=np.float64).reshape(-1, 3)
+    u, v, w = e[:, 0].astype(np.int64), e[:, 1].astype(np.int64), e[:, 2]
+    rows, cols = np.concatenate((u, v)), np.concatenate((v, u))  # both directions
+    return csr_matrix((np.concatenate((w, w)), (rows, cols)), shape=(n, n))
 
 
 def single_source(net: RoadNetwork, s: int) -> np.ndarray:

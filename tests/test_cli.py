@@ -3,7 +3,7 @@
 import json
 from pathlib import Path
 
-from efgtp import bench_from_csv, default_workers, records_from_csv
+from efgtp import bench_from_csv, records_from_csv
 from efgtp.cli import main
 
 DATA = Path(__file__).resolve().parent.parent / "data"
@@ -44,12 +44,15 @@ class TestSolveExact:
         assert out.splitlines() == OPTIMAL_LINES
 
     def test_faithful_and_workers_agree(self, capsys):
-        for extra in (["--faithful"], ["--workers", "2"], ["--faithful", "--workers", "3"]):
-            code, out, _ = run(
-                capsys, "solve-exact", "--graph", GRAPH, "--query", QUERY, *extra
-            )
-            assert code == 0
-            assert out.splitlines() == OPTIMAL_LINES
+        code, out, _ = run(capsys, "solve-exact", "--graph", GRAPH, "--query", QUERY, "--faithful")
+        assert code == 0
+        assert out.splitlines() == OPTIMAL_LINES
+        # the solver is serial; the former --workers option is a usage error
+        code, _, err = run(
+            capsys, "solve-exact", "--graph", GRAPH, "--query", QUERY, "--workers", "2"
+        )
+        assert code == 1
+        assert "--workers" in err
 
     def test_coords_do_not_change_result(self, capsys):
         code, out, _ = run(
@@ -227,18 +230,3 @@ class TestExitCodes:
         assert code == 0
         assert "solve-exact" in out + err
 
-
-class TestWorkerDefaults:
-    def test_env_override(self, monkeypatch):
-        monkeypatch.setenv("EFGTP_THREADS", "2")
-        assert default_workers() == 2
-        monkeypatch.setenv("EFGTP_THREADS", "0")
-        assert default_workers() == 1  # clamped to at least one worker
-
-    def test_garbage_env_falls_back(self, monkeypatch):
-        monkeypatch.setenv("EFGTP_THREADS", "plenty")
-        assert default_workers() >= 1
-
-    def test_unset_uses_cpu_count(self, monkeypatch):
-        monkeypatch.delenv("EFGTP_THREADS", raising=False)
-        assert default_workers() >= 1

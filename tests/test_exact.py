@@ -11,16 +11,21 @@ import numpy as np
 import pytest
 
 from efgtp import (
+    FULL,
+    ON_DEMAND,
     CapacityError,
     CategoryAssignment,
     EfGtpQuery,
     GroupSpec,
     aggregated_distance,
+    assign_categories,
     build_oracle,
     dump_query,
     enumerate_combinations,
+    europe_like,
     evaluate_route,
     gap_distribution,
+    generate_query,
     individual_distance,
     load_query,
     max_pair_gap,
@@ -209,10 +214,9 @@ class TestSolveExact:
             ref = brute_force_solve(q, floyd_warshall(net))
             fast = solve_exact(q, oracle)
             faithful = solve_exact(q, oracle, faithful=True)
-            parallel = solve_exact(q, oracle, workers=3)
-            for outcome in (fast, faithful, parallel):
+            for outcome in (fast, faithful):
                 assert_identical(outcome, ref)
-            assert fast == faithful == parallel
+            assert fast == faithful
 
     def test_forced_single_combination(self, path_oracle):
         q = query([0, 4], [4, 0], [(2,)], 100.0)
@@ -257,11 +261,42 @@ class TestSolveExact:
                 assert out.optimal.aggregated <= prev_best
                 prev_best = out.optimal.aggregated
 
-    def test_workers_more_than_categories(self, path_oracle):
-        q = query([0, 4], [4, 0], [(1, 2), (3,)], 100.0)
-        a = solve_exact(q, path_oracle)
-        b = solve_exact(q, path_oracle, workers=16)
-        assert a == b
+
+@pytest.fixture(scope="module")
+def europe():
+    return europe_like()
+
+
+def at_min_gap(net, oracle, k, cat_seed, query_seed):
+    """Six POIs per category, four members, D at the smallest pair gap."""
+    cats = assign_categories(net, k, 6, seed=cat_seed)
+    q = generate_query(net, 4, cats, D=0.0, seed=query_seed)
+    return q.with_threshold(float(gap_distribution(q, oracle).min()))
+
+
+class TestNonIntegerWeights:
+    """europe_like has non-integer weights, so trips and gaps round; every
+    path must still take the gap from the same end-leg sums."""
+
+    def test_fast_equals_faithful_at_gap_minimum(self, europe):
+        oracle = build_oracle(europe)
+        q = at_min_gap(europe, oracle, 4, 100007, 100008)
+        fast = solve_exact(q, oracle)
+        assert fast == solve_exact(q, oracle, faithful=True)
+        assert fast.min_gap == q.envy_threshold
+        assert evaluate_route(q, fast.min_gap_witness, oracle).max_gap == fast.min_gap
+        assert fast.optimal.feasible and fast.optimal.max_gap <= q.envy_threshold
+
+    def test_optimum_is_feasible_at_boundary(self, europe):
+        for mode in (ON_DEMAND, FULL):
+            oracle = build_oracle(europe, mode)
+            q = at_min_gap(europe, oracle, 3, 5, 6)
+            out = solve_exact(q, oracle)
+            assert out.optimal.feasible
+            assert out.optimal.max_gap <= q.envy_threshold
+            assert out == solve_exact(q, oracle, faithful=True)
+            if mode == ON_DEMAND:  # a full matrix is not exactly symmetric (README)
+                assert evaluate_route(q, out.optimal.combination, oracle) == out.optimal
 
 
 class TestMinAdditionalDistance:

@@ -16,6 +16,7 @@ from efgtp import (
     bench_to_csv,
     build_oracle,
     compare_solvers,
+    europe_like,
     gap_distribution,
     generate_query,
     load_network,
@@ -195,18 +196,25 @@ class TestRunSweep:
                     assert r.optimal_aggregated is not None
 
     def test_faithful_matches_fast_modulo_timing(self, net25):
-        records = run_sweep(config(solvers=("exact", "exact-faithful")), net=net25)
-        fast = strip_times([r for r in records if r.solver == "exact"])
-        slow = strip_times([r for r in records if r.solver == "exact-faithful"])
-        assert [dataclasses.replace(r, solver="x") for r in fast] == [
-            dataclasses.replace(r, solver="x") for r in slow
-        ]
-
-    def test_worker_count_does_not_change_records(self, net25):
-        cfg = config(solvers=("exact", "heuristic"))
-        assert strip_times(run_sweep(cfg, net=net25, workers=1)) == strip_times(
-            run_sweep(cfg, net=net25, workers=4)
+        # europe_like adds non-integer weights; quantile 0 puts D on the gap minimum
+        boundary = config(
+            solvers=("exact", "exact-faithful"),
+            k_values=(1, 2, 3, 4),
+            per_category=5,
+            b=4,
+            d_values=None,
+            d_quantiles=(0.0, 0.1, 0.5, 1.0),
         )
+        for cfg, net in (
+            (config(solvers=("exact", "exact-faithful")), net25),
+            (boundary, europe_like()),
+        ):
+            records = run_sweep(cfg, net=net)
+            fast = strip_times([r for r in records if r.solver == "exact"])
+            slow = strip_times([r for r in records if r.solver == "exact-faithful"])
+            assert [dataclasses.replace(r, solver="x") for r in fast] == [
+                dataclasses.replace(r, solver="x") for r in slow
+            ]
 
     def test_heuristic_rows_semantics(self, net25):
         records = run_sweep(config(solvers=("exact", "heuristic")), net=net25)

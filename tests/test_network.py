@@ -266,6 +266,12 @@ class TestComponents:
         assert count == 2
         assert list(labels) == [0, 0, 0, 1, 1]
         assert not is_connected(net)
+        # components {0, 4}, {1, 3, 5} and the isolated {2}, interleaved by id:
+        # labels follow each component's smallest vertex id
+        net = RoadNetwork(6, ((0, 4, 1.0), (1, 3, 2.5), (3, 5, 1.0)), tuple("abcdef"))
+        labels, count = component_labels(net)
+        assert count == 3
+        assert list(labels) == [0, 1, 2, 1, 0, 1]
 
     def test_largest_component_keeps_bigger_side(self):
         net = parse_edge_list("a b 1\nb c 1\nx y 1\n")
