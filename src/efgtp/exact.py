@@ -131,8 +131,13 @@ def _end_gap(s, t):
     if isinstance(s, list):  # one route: plain floats beat numpy's per-call cost
         ends = [x + y for x, y in zip(s, t)]
         return max(ends) - min(ends)
-    ends = s + t
-    return ends.max(axis=-1) - ends.min(axis=-1)
+    # one broadcast plane per member: a reduction over a short last axis
+    # is many times slower, and max/min are exact, so the bits are the same
+    hi = lo = s[..., 0] + t[..., 0]
+    for i in range(1, s.shape[-1]):
+        ends = s[..., i] + t[..., i]
+        hi, lo = np.maximum(hi, ends), np.minimum(lo, ends)
+    return hi - lo
 
 
 def _route(combo, s, chain, t, threshold: float) -> EvaluatedRoute:
@@ -191,36 +196,42 @@ def evaluate_route(
 
 @dataclass
 class _Tables:
-    """Leg lookups shared by both scans and by the reported optimum."""
+    """Leg lookups shared by both scans and by the reported optimum, all
+    indexed by per-category positions."""
 
     cats: tuple[tuple[int, ...], ...]
     s_np: np.ndarray  # (n1, b): dist(source_i, first-category POI)
     t_np: np.ndarray  # (nk, b): dist(last-category POI, destination_i)
     s_cols: list[list[float]]
     t_cols: list[list[float]]
-    chain_rows: dict[int, list[float]]  # full distance rows for chain-leg sources
+    # legs[i][p][q] = dist(cats[i][p], cats[i + 1][q]), one (n_i x n_{i+1})
+    # block per category step; empty when only the end legs were built
+    legs: list[list[list[float]]]
 
 
-def _prepare_tables(query: EfGtpQuery, oracle: DistanceOracle) -> _Tables:
+def _prepare_tables(query: EfGtpQuery, oracle: DistanceOracle, chain: bool = True) -> _Tables:
+    """Gather the legs from one batched row fetch; chain=False builds only
+    the end legs, which is all the pair-gap table reads."""
     cats = query.categories.categories
-    src_rows = np.stack([oracle.row(s) for s in query.group.sources])  # (b, n)
-    dst_rows = np.stack([oracle.row(d) for d in query.group.destinations])
-    first = np.asarray(cats[0], dtype=np.int64)
-    last = np.asarray(cats[-1], dtype=np.int64)
-    s_np = src_rows[:, first].T.copy()  # (n1, b)
-    t_np = dst_rows[:, last].T.copy()  # (nk, b)
-    chain_rows: dict[int, list[float]] = {}
-    for cat in cats[:-1]:  # chain legs start in categories 1..k-1
-        for v in cat:
-            if v not in chain_rows:
-                chain_rows[v] = oracle.row(v).tolist()
+    b = query.b
+    starts = cats[:-1] if chain else ()  # chain legs start in categories 1..k-1
+    rows = oracle.rows(
+        itertools.chain(query.group.sources, query.group.destinations, *starts)
+    )
+    s_np = rows[:b][:, cats[0]].T.copy()  # (n1, b), read from the source rows
+    t_np = rows[b : 2 * b][:, cats[-1]].T.copy()  # (nk, b), from the destination rows
+    legs = []
+    at = 2 * b
+    for cat, nxt in zip(starts, cats[1:]):
+        legs.append(rows[at : at + len(cat)][:, nxt].tolist())
+        at += len(cat)
     return _Tables(
         cats=cats,
         s_np=s_np,
         t_np=t_np,
         s_cols=s_np.tolist(),
         t_cols=t_np.tolist(),
-        chain_rows=chain_rows,
+        legs=legs,
     )
 
 
@@ -229,7 +240,15 @@ def _pair_gaps(tables: _Tables) -> np.ndarray:
     each POI is its own pair, shape (n1,)."""
     if len(tables.cats) == 1:
         return _end_gap(tables.s_np, tables.t_np)
-    return np.stack([_end_gap(s, tables.t_np) for s in tables.s_np])
+    return _end_gap(tables.s_np[:, None, :], tables.t_np[None, :, :])
+
+
+def _gap_minimum(gaps: np.ndarray, k: int) -> tuple[float, tuple[int, ...]]:
+    """The smallest pair gap and the positions of the first combination
+    attaining it in enumeration order (row-major over the pair table,
+    interior positions 0)."""
+    first = np.unravel_index(int(np.argmin(gaps)), gaps.shape)
+    return float(gaps[first]), (int(first[0]), *(0,) * (k - 2), *map(int, first[1:]))
 
 
 def _combo(cats, pos: tuple[int, ...]) -> PoiCombination:
@@ -240,10 +259,9 @@ def _combo(cats, pos: tuple[int, ...]) -> PoiCombination:
 def _table_route(query: EfGtpQuery, tables: _Tables, pos: tuple[int, ...]) -> EvaluatedRoute:
     """Evaluate the combination at positions pos from the tables' legs, so
     its numbers are the ones the scan compared."""
-    combo = _combo(tables.cats, pos)
-    chain = [tables.chain_rows[u][v] for u, v in zip(combo, combo[1:])]
+    chain = [leg[p][q] for leg, p, q in zip(tables.legs, pos, pos[1:])]
     s, t = tables.s_cols[pos[0]], tables.t_cols[pos[-1]]
-    return _route(combo, s, chain, t, query.envy_threshold)
+    return _route(_combo(tables.cats, pos), s, chain, t, query.envy_threshold)
 
 
 @dataclass
@@ -278,9 +296,7 @@ def _scan(
     feasible = gaps <= threshold
     out = _Scan()
     if not faithful:
-        first = np.unravel_index(int(np.argmin(gaps)), gaps.shape)  # row-major = enumeration order
-        out.min_gap = float(gaps[first])
-        out.min_gap_pos = (int(first[0]), *(0,) * len(interior), *map(int, first[1:]))
+        out.min_gap, out.min_gap_pos = _gap_minimum(gaps, len(cats))
         out.feasible_count = int(feasible.sum()) * math.prod(len(c) for c in interior)
         if out.feasible_count == 0:
             return out
@@ -313,32 +329,32 @@ def _scan(
             if agg < best_agg:
                 best_agg, best_pos = agg, (p1,)
     else:
-        last = cats[-1]
-        chain_rows = tables.chain_rows
+        *inner_legs, last_legs = tables.legs
         t_cols = tables.t_cols
-        for p1, v1 in enumerate(cats[0]):
-            lasts = range(len(last)) if faithful else np.flatnonzero(feasible[p1]).tolist()
+        for p1 in range(len(cats[0])):
+            lasts = range(len(cats[-1])) if faithful else np.flatnonzero(feasible[p1]).tolist()
             if not lasts:
                 continue
             s_col = tables.s_cols[p1]
             gap_row = gaps[p1].tolist()
-            for mids in itertools.product(*(enumerate(c) for c in interior)):
+            for mids in itertools.product(*(range(len(c)) for c in interior)):
                 # _member_distances's pinned order, inlined: each interior
                 # prefix is shared by every last POI, and a kernel call per
                 # combination would double the scan's cost
                 vals = s_col
-                prev = v1
-                for _, v in mids:
-                    vals = [x + chain_rows[prev][v] for x in vals]
-                    prev = v
-                row = chain_rows[prev]
+                prev = p1
+                for leg_block, p in zip(inner_legs, mids):
+                    leg = leg_block[prev][p]
+                    vals = [x + leg for x in vals]
+                    prev = p
+                row = last_legs[prev]
                 for pk in lasts:
-                    leg = row[last[pk]]
+                    leg = row[pk]
                     agg = sum([(x + leg) + t for x, t in zip(vals, t_cols[pk])])
-                    if faithful and not book((p1, *(p for p, _ in mids), pk), gap_row[pk], agg):
+                    if faithful and not book((p1, *mids, pk), gap_row[pk], agg):
                         continue
                     if agg < best_agg:
-                        best_agg, best_pos = agg, (p1, *(p for p, _ in mids), pk)
+                        best_agg, best_pos = agg, (p1, *mids, pk)
     out.best_pos = best_pos
     return out
 
@@ -393,7 +409,7 @@ def gap_distribution(query: EfGtpQuery, oracle: DistanceOracle) -> np.ndarray:
     therefore quantiles over pairs, not over the combination space.
     """
     query.validate_against(oracle.net)
-    return _pair_gaps(_prepare_tables(query, oracle)).ravel()
+    return _pair_gaps(_prepare_tables(query, oracle, chain=False)).ravel()
 
 
 def min_additional_distance(
@@ -406,14 +422,14 @@ def min_additional_distance(
     guaranteed feasible, and every newly feasible combination attains d.
     """
     query.validate_against(oracle.net)
-    tables = _prepare_tables(query, oracle)
-    found = _scan(query, tables, _pair_gaps(tables))
-    if found.feasible_count:
+    tables = _prepare_tables(query, oracle, chain=False)
+    gaps = _pair_gaps(tables)
+    if (gaps <= query.envy_threshold).any():
         raise ValueError(
             "query already has feasible combinations; no additional distance needed"
         )
-    witness = _combo(tables.cats, found.min_gap_pos)
-    return found.min_gap, found.min_gap - query.envy_threshold, witness
+    d, pos = _gap_minimum(gaps, query.k)
+    return d, d - query.envy_threshold, _combo(tables.cats, pos)
 
 
 # ---------------------------------------------------------------------------

@@ -69,6 +69,15 @@ class DistanceOracle:
         if not (0 <= v < self.net.vertex_count):
             raise ValueError(f"vertex id {v} out of range [0, {self.net.vertex_count})")
 
+    def _memoize(self, sources: list[int]) -> None:
+        """Compute and memoize the rows of distinct sources in one Dijkstra
+        call; each row is bitwise equal to a single-source call's."""
+        batch = _dijkstra(self._graph, directed=False, indices=sources)
+        batch.setflags(write=False)
+        with self._lock:
+            for s, row in zip(sources, batch):
+                self._rows.setdefault(s, row)
+
     def row(self, s: int) -> np.ndarray:
         """Distance vector from s; memoized in on-demand mode."""
         self._check(s)
@@ -76,11 +85,28 @@ class DistanceOracle:
             return self.matrix[s]
         row = self._rows.get(s)
         if row is None:
-            row = _dijkstra(self._graph, directed=False, indices=s)
-            row.setflags(write=False)
-            with self._lock:
-                row = self._rows.setdefault(s, row)
+            self._memoize([s])
+            row = self._rows[s]
         return row
+
+    def rows(self, sources: Iterable[int]) -> np.ndarray:
+        """Read-only (len(sources), n) array of the distance rows from sources,
+        in order; in on-demand mode the rows not yet memoized are computed
+        together in one Dijkstra call and memoized."""
+        sources = list(sources)
+        for s in sources:
+            self._check(s)
+        if self.mode == FULL:
+            out = self.matrix[sources]
+        else:
+            missing = [s for s in dict.fromkeys(sources) if s not in self._rows]
+            if missing:
+                self._memoize(missing)
+            out = np.empty((len(sources), self.vertex_count))
+            for i, s in enumerate(sources):
+                out[i] = self._rows[s]
+        out.setflags(write=False)
+        return out
 
     def dist(self, u: int, v: int) -> float:
         """Exact shortest-path length between u and v."""
@@ -134,8 +160,7 @@ def build_oracle(
         return DistanceOracle(net, FULL, matrix=matrix)
     oracle = DistanceOracle(net, ON_DEMAND)
     if required_sources is not None:
-        for s in required_sources:
-            oracle.row(s)
+        oracle.rows(required_sources)
     return oracle
 
 

@@ -299,6 +299,37 @@ class TestNonIntegerWeights:
                 assert evaluate_route(q, out.optimal.combination, oracle) == out.optimal
 
 
+class TestOracleStates:
+    """The solver gathers its legs from one batched row fetch; what the
+    oracle already holds must not change a bit of the outcome."""
+
+    def test_fresh_warm_and_full_oracles_agree(self, europe):
+        warm = build_oracle(europe)
+        full = build_oracle(europe, FULL)
+        for k, per_cat in ((1, 20), (2, 12), (3, 6), (4, 4)):
+            cats = assign_categories(europe, k, per_cat, seed=40 + k)
+            for b in (1, 4):
+                q = generate_query(europe, b, cats, D=0.0, seed=50 + k * b)
+                min_gap = float(gap_distribution(q, build_oracle(europe)).min())
+                for D in (0.0, min_gap, math.inf):
+                    qd = q.with_threshold(D)
+                    fresh = repr(solve_exact(qd, build_oracle(europe)))
+                    assert repr(solve_exact(qd, warm)) == fresh
+                    assert repr(solve_exact(qd, full)) == fresh
+
+    def test_end_leg_calls_fetch_only_member_rows(self, europe):
+        cats = assign_categories(europe, 3, 8, seed=61)
+        q = generate_query(europe, 4, cats, D=0.0, seed=62)
+        members = set(q.group.sources) | set(q.group.destinations)
+        oracle = build_oracle(europe)
+        d, eps, _ = min_additional_distance(q, oracle)
+        assert eps == d > 0.0
+        assert set(oracle._rows) == members
+        oracle = build_oracle(europe)
+        gap_distribution(q, oracle)
+        assert set(oracle._rows) == members
+
+
 class TestMinAdditionalDistance:
     def test_constructed_gap_set(self, slack_case):
         q, oracle = slack_case
@@ -328,6 +359,14 @@ class TestMinAdditionalDistance:
         q, oracle = slack_case
         with pytest.raises(ValueError, match="already has feasible"):
             min_additional_distance(q.with_threshold(100.0), oracle)
+
+    def test_rejects_feasible_multi_category_instance(self, europe):
+        oracle = build_oracle(europe)
+        q = at_min_gap(europe, oracle, 3, 5, 6)
+        with pytest.raises(ValueError, match="already has feasible"):
+            min_additional_distance(q, oracle)
+        below = q.with_threshold(math.nextafter(q.envy_threshold, 0.0))
+        assert min_additional_distance(below, oracle)[0] == q.envy_threshold
 
     def test_witness_attains_min_gap(self):
         rng = np.random.default_rng(207)

@@ -10,6 +10,7 @@ from efgtp import (
     ON_DEMAND,
     CapacityError,
     build_oracle,
+    europe_like,
     load_matrix,
     parse_edge_list,
     single_source,
@@ -104,6 +105,13 @@ def test_required_sources_prewarm():
     net = random_network(rng, 20)
     ref = floyd_warshall(net)
     oracle = build_oracle(net, required_sources=[3, 7])
+    assert sorted(oracle._rows) == [3, 7]
+    fresh = build_oracle(net)
+    for s in (3, 7):
+        row = oracle.row(s)
+        assert row.tobytes() == fresh.row(s).tobytes()
+        with pytest.raises(ValueError):
+            row[0] = 5.0
     assert np.array_equal(oracle.row(3), ref[3])
     assert oracle.dist(7, 11) == ref[7, 11]
 
@@ -157,14 +165,16 @@ def test_concurrent_queries_consistent():
     pairs = [(int(u), int(v)) for u, v in rng.integers(0, 30, size=(200, 2))]
 
     def work(chunk):
-        return [oracle.dist(u, v) for u, v in chunk]
+        rows = oracle.rows([u for u, _ in chunk])
+        return [oracle.dist(u, v) for u, v in chunk], rows
 
     chunks = [pairs[i::4] for i in range(4)]
     with ThreadPoolExecutor(max_workers=4) as pool:
         results = list(pool.map(work, chunks))
-    for chunk, vals in zip(chunks, results):
-        for (u, v), d in zip(chunk, vals):
+    for chunk, (vals, rows) in zip(chunks, results):
+        for (u, v), d, row in zip(chunk, vals, rows):
             assert d == ref[u, v]
+            assert np.array_equal(row, ref[u])
 
 
 def test_rows_are_read_only():
@@ -174,3 +184,53 @@ def test_rows_are_read_only():
     row = oracle.row(0)
     with pytest.raises(ValueError):
         row[0] = 5.0
+
+
+@pytest.fixture(scope="module")
+def europe():
+    return europe_like()
+
+
+class TestRows:
+    """rows() fetches many rows with one Dijkstra call; europe_like has
+    non-integer weights, so bitwise equality with row() is not trivial."""
+
+    def test_bitwise_equal_to_row(self, europe):
+        sources = [int(s) for s in np.random.default_rng(113).integers(0, 1174, size=40)]
+        batched = build_oracle(europe).rows(sources)
+        single = build_oracle(europe)
+        assert batched.shape == (40, europe.vertex_count)
+        for s, row in zip(sources, batched):
+            assert row.tobytes() == single.row(s).tobytes()
+        full = build_oracle(europe, FULL)
+        for s, row in zip(sources, full.rows(sources)):
+            assert row.tobytes() == full.row(s).tobytes()
+
+    def test_duplicate_and_cached_sources(self, europe):
+        oracle = build_oracle(europe)
+        cached = oracle.row(5)
+        rows = oracle.rows([5, 9, 5, 9, 2])
+        assert sorted(oracle._rows) == [2, 5, 9]
+        assert oracle.row(5) is cached  # a memoized row is not recomputed
+        fresh = build_oracle(europe)
+        for s, row in zip([5, 9, 5, 9, 2], rows):
+            assert row.tobytes() == fresh.row(s).tobytes()
+        assert oracle.rows([]).shape == (0, europe.vertex_count)
+
+    def test_out_of_range_raises_before_dijkstra(self, europe):
+        oracle = build_oracle(europe)
+        with pytest.raises(ValueError, match="vertex id 1174 out of range"):
+            oracle.rows([1, 1174, 2])
+        with pytest.raises(ValueError, match="vertex id -3 out of range"):
+            oracle.rows([-3])
+        assert oracle._rows == {}
+
+    def test_read_only(self, europe):
+        for oracle in (build_oracle(europe), build_oracle(europe, FULL)):
+            rows = oracle.rows([0, 7])
+            with pytest.raises(ValueError):
+                rows[0, 0] = 5.0
+        oracle = build_oracle(europe)
+        oracle.rows([3])
+        with pytest.raises(ValueError):
+            oracle.row(3)[0] = 5.0
