@@ -2,7 +2,7 @@
 
 from pathlib import Path
 
-from efgtp import build_oracle, load_network, single_source
+from efgtp import build_oracle, load_network
 
 DATA = Path(__file__).resolve().parent.parent / "data"
 
@@ -18,12 +18,12 @@ def main():
         print(f"  5 -> {net.external_ids[v]}  weight {w}")
 
     # single-source distances fan out along the cheap horizontal edges first
-    dist = single_source(net, 0)
+    oracle = build_oracle(net)
+    dist = oracle.row(0)
     print("\ndistances from vertex 0:")
     for v in range(net.vertex_count):
         print(f"  0 -> {net.external_ids[v]:>2}  {dist[v]:.1f}")
 
-    oracle = build_oracle(net)
     print("\noracle spot checks (symmetry and the triangle through vertex 5):")
     print(f"  d(0, 11) = {oracle.dist(0, 11)}  d(11, 0) = {oracle.dist(11, 0)}")
     print(f"  d(0, 5) + d(5, 11) = {oracle.dist(0, 5) + oracle.dist(5, 11)}")

@@ -66,7 +66,6 @@ from .oracle import (
     DistanceOracle,
     build_oracle,
     load_matrix,
-    single_source,
 )
 from .rtree import Rect, RTree, bulk_load, euclidean_gnn, euclidean_nn
 from .synthetic import (
@@ -132,7 +131,6 @@ __all__ = [
     "records_from_csv",
     "records_to_csv",
     "run_sweep",
-    "single_source",
     "solve_exact",
     "solve_heuristic",
     "threshold_quantiles",

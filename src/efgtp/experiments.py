@@ -41,14 +41,6 @@ logger = logging.getLogger(__name__)
 SOLVERS = ("exact", "exact-faithful", "heuristic", "heuristic-indexed")
 BENCH_COMBINATION_GUARD = 10_000_000
 
-SWEEP_HEADER = (
-    "dataset,k,b,D,seed,solver,feasible_count,optimal_aggregated,d,epsilon,wall_time_ms"
-)
-BENCH_HEADER = (
-    "dataset,k,b,D,seed,exact_aggregated,heuristic_aggregated,"
-    "heuristic_feasible,ratio,exact_time_ms,heuristic_time_ms"
-)
-
 
 @dataclass(frozen=True)
 class SweepConfig:
@@ -368,80 +360,43 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def records_to_csv(records: Sequence[SweepRecord]) -> str:
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(SWEEP_HEADER.split(","))
-    for r in records:
-        w.writerow(
-            [
-                r.dataset, _fmt(r.k), _fmt(r.b), _fmt(r.D), _fmt(r.seed), r.solver,
-                _fmt(r.feasible_count), _fmt(r.optimal_aggregated), _fmt(r.d),
-                _fmt(r.epsilon), _fmt(r.wall_time_ms),
-            ]
-        )
-    return buf.getvalue()
+_PARSERS = {
+    "str": str,
+    "int": int,
+    "float": float,
+    "Optional[float]": lambda s: float(s) if s else None,
+    "bool": lambda s: bool(int(s)),
+}
 
 
-def records_from_csv(text: str) -> list[SweepRecord]:
-    rows = list(csv.reader(io.StringIO(text)))
-    if not rows or rows[0] != SWEEP_HEADER.split(","):
-        raise ValueError("unrecognized sweep CSV header")
-    out = []
-    for row in rows[1:]:
-        out.append(
-            SweepRecord(
-                dataset=row[0],
-                k=int(row[1]),
-                b=int(row[2]),
-                D=float(row[3]),
-                seed=int(row[4]),
-                solver=row[5],
-                feasible_count=int(row[6]),
-                optimal_aggregated=float(row[7]) if row[7] else None,
-                d=float(row[8]),
-                epsilon=float(row[9]),
-                wall_time_ms=float(row[10]),
-            )
-        )
-    return out
+def _csv_codec(cls, kind: str):
+    """(to_csv, from_csv) for a record dataclass; the header is its field
+    names in order, and each cell is parsed by its field's annotation."""
+    names = [f.name for f in fields(cls)]
+    parsers = [_PARSERS[f.type] for f in fields(cls)]
+
+    def to_csv(records: Sequence[cls]) -> str:
+        buf = io.StringIO()
+        w = csv.writer(buf, lineterminator="\n")
+        w.writerow(names)
+        w.writerows([_fmt(getattr(r, name)) for name in names] for r in records)
+        return buf.getvalue()
+
+    def from_csv(text: str) -> list[cls]:
+        rows = list(csv.reader(io.StringIO(text)))
+        if not rows or rows[0] != names:
+            raise ValueError(f"unrecognized {kind} CSV header")
+        out = []
+        for i, row in enumerate(rows[1:], start=1):
+            if len(row) != len(names):
+                raise ValueError(
+                    f"{kind} CSV record {i} has {len(row)} fields, expected {len(names)}"
+                )
+            out.append(cls(*(parse(v) for parse, v in zip(parsers, row))))
+        return out
+
+    return to_csv, from_csv
 
 
-def bench_to_csv(records: Sequence[BenchRecord]) -> str:
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(BENCH_HEADER.split(","))
-    for r in records:
-        w.writerow(
-            [
-                r.dataset, _fmt(r.k), _fmt(r.b), _fmt(r.D), _fmt(r.seed),
-                _fmt(r.exact_aggregated), _fmt(r.heuristic_aggregated),
-                _fmt(r.heuristic_feasible), _fmt(r.ratio),
-                _fmt(r.exact_time_ms), _fmt(r.heuristic_time_ms),
-            ]
-        )
-    return buf.getvalue()
-
-
-def bench_from_csv(text: str) -> list[BenchRecord]:
-    rows = list(csv.reader(io.StringIO(text)))
-    if not rows or rows[0] != BENCH_HEADER.split(","):
-        raise ValueError("unrecognized bench CSV header")
-    out = []
-    for row in rows[1:]:
-        out.append(
-            BenchRecord(
-                dataset=row[0],
-                k=int(row[1]),
-                b=int(row[2]),
-                D=float(row[3]),
-                seed=int(row[4]),
-                exact_aggregated=float(row[5]) if row[5] else None,
-                heuristic_aggregated=float(row[6]),
-                heuristic_feasible=bool(int(row[7])),
-                ratio=float(row[8]) if row[8] else None,
-                exact_time_ms=float(row[9]),
-                heuristic_time_ms=float(row[10]),
-            )
-        )
-    return out
+records_to_csv, records_from_csv = _csv_codec(SweepRecord, "sweep")
+bench_to_csv, bench_from_csv = _csv_codec(BenchRecord, "bench")

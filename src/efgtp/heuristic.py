@@ -13,9 +13,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
+import numpy as np
+
 from .exact import EfGtpQuery, EvaluatedRoute, evaluate_route
 from .oracle import DistanceOracle
-from .rtree import DEFAULT_FANOUT, RTree, bulk_load
+from .rtree import RTree, bulk_load
 
 INDEX_MODES = (None, "euclidean")
 
@@ -33,21 +35,31 @@ class HeuristicResult:
         return self.route.combination
 
 
+def _pick(points: Sequence[int], candidates: Sequence[int], oracle: DistanceOracle) -> int:
+    """Candidate minimizing the summed network distance to points.
+
+    The sum starts from 0 and adds the points' rows in the given order;
+    ties break to the smallest id. Every candidate id is range-checked.
+    """
+    if not len(candidates):
+        raise ValueError("empty candidate set")
+    if not len(points):
+        raise ValueError("empty query point list")
+    cands = np.array(candidates)  # a copy: the in-place sort leaves the caller's array alone
+    cands.sort()
+    oracle._check(int(cands[0]))
+    oracle._check(int(cands[-1]))
+    total = 0.0
+    for p in points:
+        total = total + oracle.row(p)[cands]
+    return int(cands[total.argmin()])
+
+
 def nearest_neighbor(
     point: int, candidates: Sequence[int], oracle: DistanceOracle
 ) -> int:
     """Candidate closest to point by network distance; ties -> smallest id."""
-    cands = sorted(candidates)
-    if not cands:
-        raise ValueError("empty candidate set")
-    row = oracle.row(point)
-    best = cands[0]
-    best_d = row[best]
-    for c in cands[1:]:
-        d = row[c]
-        if d < best_d:
-            best, best_d = c, d
-    return best
+    return _pick((point,), candidates, oracle)
 
 
 def group_nearest_neighbor(
@@ -58,31 +70,18 @@ def group_nearest_neighbor(
     The sum runs in the given point order; ties break to the smallest id.
     With a single point this coincides with nearest_neighbor.
     """
-    cands = sorted(candidates)
-    if not cands:
-        raise ValueError("empty candidate set")
-    if not points:
-        raise ValueError("empty query point list")
-    rows = [oracle.row(p) for p in points]
-    best: Optional[int] = None
-    best_d = 0.0
-    for c in cands:
-        d = sum(row[c] for row in rows)
-        if best is None or d < best_d:
-            best, best_d = c, d
-    return best
+    return _pick(points, candidates, oracle)
 
 
-def _category_tree(oracle: DistanceOracle, cat: Sequence[int], fanout: int) -> RTree:
+def _category_tree(oracle: DistanceOracle, cat: Sequence[int]) -> RTree:
     coords = oracle.net.coords
-    return bulk_load([(v, coords[v, 0], coords[v, 1]) for v in cat], fanout=fanout)
+    return bulk_load([(v, coords[v, 0], coords[v, 1]) for v in cat])
 
 
 def solve_heuristic(
     query: EfGtpQuery,
     oracle: DistanceOracle,
     index: Optional[str] = None,
-    fanout: int = DEFAULT_FANOUT,
 ) -> HeuristicResult:
     """One-pass greedy route: GNN, chained NNs, GNN.
 
@@ -107,31 +106,25 @@ def solve_heuristic(
         if coords is None:
             raise ValueError("indexed mode requires vertex coordinates")
 
-        def pts(vertices):
-            return [(coords[v, 0], coords[v, 1]) for v in vertices]
+        def gnn(points, cat):
+            return _category_tree(oracle, cat).gnn([(coords[v, 0], coords[v, 1]) for v in points])
 
-        if k == 1:
-            combo = [_category_tree(oracle, cats[0], fanout).gnn(pts(sources + destinations))]
-            gnn, nn = 1, 0
-        else:
-            combo = [_category_tree(oracle, cats[0], fanout).gnn(pts(sources))]
-            for i in range(1, k - 1):
-                prev = combo[-1]
-                combo.append(
-                    _category_tree(oracle, cats[i], fanout).nn(coords[prev, 0], coords[prev, 1])
-                )
-            combo.append(_category_tree(oracle, cats[-1], fanout).gnn(pts(destinations)))
-            gnn, nn = 2, k - 2
+        def nn(point, cat):
+            return _category_tree(oracle, cat).nn(coords[point, 0], coords[point, 1])
     else:
-        if k == 1:
-            combo = [group_nearest_neighbor(sources + destinations, cats[0], oracle)]
-            gnn, nn = 1, 0
-        else:
-            combo = [group_nearest_neighbor(sources, cats[0], oracle)]
-            for i in range(1, k - 1):
-                combo.append(nearest_neighbor(combo[-1], cats[i], oracle))
-            combo.append(group_nearest_neighbor(destinations, cats[-1], oracle))
-            gnn, nn = 2, k - 2
+        def gnn(points, cat):
+            return group_nearest_neighbor(points, cat, oracle)
+
+        def nn(point, cat):
+            return nearest_neighbor(point, cat, oracle)
+
+    if k == 1:
+        combo = [gnn(sources + destinations, cats[0])]
+    else:
+        combo = [gnn(sources, cats[0])]
+        for cat in cats[1:-1]:
+            combo.append(nn(combo[-1], cat))
+        combo.append(gnn(destinations, cats[-1]))
 
     route = evaluate_route(query, tuple(combo), oracle)
-    return HeuristicResult(route=route, gnn_queries=gnn, nn_queries=nn)
+    return HeuristicResult(route=route, gnn_queries=min(k, 2), nn_queries=max(k - 2, 0))

@@ -36,13 +36,6 @@ def _build_csgraph(net: RoadNetwork) -> csr_matrix:
     return csr_matrix((np.concatenate((w, w)), (rows, cols)), shape=(n, n))
 
 
-def single_source(net: RoadNetwork, s: int) -> np.ndarray:
-    """Shortest-path distances from s to every vertex (length-n float64)."""
-    if not (0 <= s < net.vertex_count):
-        raise ValueError(f"vertex id {s} out of range [0, {net.vertex_count})")
-    return _dijkstra(_build_csgraph(net), directed=False, indices=s)
-
-
 class DistanceOracle:
     """dist(u, v) lookups over a fixed network.
 

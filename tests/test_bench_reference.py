@@ -6,6 +6,7 @@ that checker. Both are imported as they are, so a change the benchmark
 would reject as incorrect fails here first.
 """
 
+import math
 import sys
 import types
 from pathlib import Path
@@ -17,6 +18,7 @@ from efgtp import exact, experiments, heuristic, network, oracle, rtree, synthet
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
 import reference as R  # noqa: E402
 from selftest import run_self_test  # noqa: E402
+from spans import Tracer, per_layer_metrics  # noqa: E402
 
 MODS = types.SimpleNamespace(
     exact=exact, experiments=experiments, heuristic=heuristic, network=network,
@@ -49,3 +51,24 @@ def test_answers_pass_the_reference(europe, k, per_cat, b, seed):
         if not out.feasible:
             mad = exact.min_additional_distance(q, oracle.build_oracle(europe))
             assert R.check_mad(legs, D, out, mad) == []
+        # the checker scores a k = 1 pick by the source legs alone, not the joint GNN
+        for index in heuristic.INDEX_MODES if k > 1 else ():
+            res = heuristic.solve_heuristic(q, oracle.build_oracle(europe), index=index)
+            assert R.check_heuristic(legs, D, res, euclidean=index is not None) == []
+
+
+def test_traced_layers_are_wrapped(europe):
+    """The traced benchmark wraps library names; a renamed one reads as NaN."""
+    cats = network.assign_categories(europe, 3, 6, seed=5)
+    query = experiments.generate_query(europe, 4, cats, D=1e12, seed=6)
+    tracer = Tracer()
+    tracer.install(MODS)
+    try:
+        exact.solve_exact(query, oracle.build_oracle(europe))
+        for index in heuristic.INDEX_MODES:
+            heuristic.solve_heuristic(query, oracle.build_oracle(europe), index=index)
+    finally:
+        tracer.uninstall()
+    metrics = per_layer_metrics(tracer, rounds=1)
+    for name in ("heuristic.gnn_ms", "heuristic.nn_ms", "rtree.bulk_load_ms", "rtree.query_ms"):
+        assert math.isfinite(metrics[name][0]), name

@@ -317,6 +317,8 @@ class TestCsvRoundTrips:
     def test_sweep_header_validated(self):
         with pytest.raises(ValueError, match="sweep CSV header"):
             records_from_csv("a,b,c\n1,2,3\n")
+        with pytest.raises(ValueError, match="record 1 has 2 fields, expected 11"):
+            records_from_csv(records_to_csv([]) + "x,1\n")
 
     def test_bench_round_trip(self, net25):
         records = compare_solvers(config(d_values=(0.0, 1e9)), net=net25)

@@ -4,10 +4,13 @@ import numpy as np
 import pytest
 
 from efgtp import (
+    FULL,
+    ON_DEMAND,
     CategoryAssignment,
     EfGtpQuery,
     GroupSpec,
     build_oracle,
+    europe_like,
     evaluate_route,
     group_nearest_neighbor,
     nearest_neighbor,
@@ -43,6 +46,21 @@ def path_oracle():
     return build_oracle(unit_path())
 
 
+@pytest.fixture(scope="module")
+def europe_oracles():
+    """(oracle, reference rows from a second oracle) for each oracle mode."""
+    net = europe_like()
+    everyone = range(net.vertex_count)
+    return [(build_oracle(net, m), build_oracle(net, m).rows(everyone)) for m in (ON_DEMAND, FULL)]
+
+
+@pytest.fixture(scope="module")
+def star_oracle():
+    """Hub 0 with four equal non-integer spokes: every leaf ties with every other."""
+    oracle = build_oracle(parse_edge_list("\n".join(f"0 {i} 0.7" for i in range(1, 5))))
+    return oracle, oracle.rows(range(5))
+
+
 class TestNearestNeighbor:
     def test_point_in_candidates(self, path_oracle):
         assert nearest_neighbor(2, [0, 2, 4], path_oracle) == 2
@@ -54,7 +72,7 @@ class TestNearestNeighbor:
         with pytest.raises(ValueError, match="empty candidate"):
             nearest_neighbor(0, [], path_oracle)
 
-    def test_matches_linear_scan(self):
+    def test_matches_linear_scan(self, europe_oracles, star_oracle):
         rng = np.random.default_rng(300)
         checks = 0
         while checks < 1000:
@@ -69,6 +87,24 @@ class TestNearestNeighbor:
                     point, cands, ref
                 )
                 checks += 1
+        # non-integer weights, both oracle modes, unsorted candidate lists
+        for oracle, ref in europe_oracles:
+            for size in (1, 10, 300):
+                for _ in range(10):
+                    point = int(rng.integers(0, oracle.vertex_count))
+                    cands = [int(v) for v in rng.permutation(oracle.vertex_count)[:size]]
+                    assert nearest_neighbor(point, cands, oracle) == linear_network_nn(
+                        point, cands, ref
+                    )
+        oracle, ref = star_oracle
+        assert ref[1, 4] == ref[1, 2]
+        assert nearest_neighbor(1, [4, 2], oracle) == linear_network_nn(1, [4, 2], ref) == 2
+
+    def test_out_of_range_candidates(self, path_oracle):
+        with pytest.raises(ValueError, match=r"vertex id -1 out of range \[0, 5\)"):
+            nearest_neighbor(0, [-1], path_oracle)
+        with pytest.raises(ValueError, match="vertex id 5 out of range"):
+            nearest_neighbor(0, [2, 5, 1], path_oracle)
 
 
 class TestGroupNearestNeighbor:
@@ -86,7 +122,7 @@ class TestGroupNearestNeighbor:
         with pytest.raises(ValueError, match="query point"):
             group_nearest_neighbor([], [1], path_oracle)
 
-    def test_matches_linear_scan(self):
+    def test_matches_linear_scan(self, europe_oracles, star_oracle):
         rng = np.random.default_rng(301)
         checks = 0
         while checks < 1000:
@@ -102,6 +138,28 @@ class TestGroupNearestNeighbor:
                     linear_network_gnn(points, cands, ref)
                 )
                 checks += 1
+        # non-integer weights, both oracle modes, unsorted candidate lists
+        for oracle, ref in europe_oracles:
+            for size in (1, 10, 300):
+                for b in (1, 8):
+                    for _ in range(5):
+                        points = [int(v) for v in rng.integers(0, oracle.vertex_count, size=b)]
+                        cands = [int(v) for v in rng.permutation(oracle.vertex_count)[:size]]
+                        assert group_nearest_neighbor(points, cands, oracle) == (
+                            linear_network_gnn(points, cands, ref)
+                        )
+        oracle, ref = star_oracle
+        points = [1, 3, 1, 3, 0, 0, 1, 3]
+        assert ref[points, 4].sum() == ref[points, 2].sum()
+        assert group_nearest_neighbor(points, [4, 2], oracle) == (
+            linear_network_gnn(points, [4, 2], ref)
+        ) == 2
+
+    def test_out_of_range_candidates(self, path_oracle):
+        with pytest.raises(ValueError, match="vertex id -2 out of range"):
+            group_nearest_neighbor([0], [-2, 1], path_oracle)
+        with pytest.raises(ValueError, match="vertex id 9 out of range"):
+            group_nearest_neighbor([0, 4], [9, 3], path_oracle)
 
     def test_single_point_equals_nearest_neighbor(self):
         rng = np.random.default_rng(302)

@@ -13,7 +13,6 @@ from efgtp import (
     europe_like,
     load_matrix,
     parse_edge_list,
-    single_source,
 )
 
 from support import floyd_warshall, random_network
@@ -67,14 +66,6 @@ def test_edge_weight_is_upper_bound():
     oracle = build_oracle(net)
     for u, v, w in net.edges:
         assert oracle.dist(u, v) <= w
-
-
-def test_single_source_function():
-    net = parse_edge_list("a b 1\nb c 2\n")
-    row = single_source(net, 0)
-    assert list(row) == [0.0, 1.0, 3.0]
-    with pytest.raises(ValueError, match="out of range"):
-        single_source(net, 9)
 
 
 def test_disconnected_network_rejected():
