@@ -22,7 +22,7 @@ import itertools
 import json
 import logging
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import IO, Iterator, Optional
 
 import numpy as np
@@ -183,9 +183,11 @@ def evaluate_route(
     """Evaluate one combination: per-member trips, total, gap, feasibility."""
     rho = tuple(rho)
     validate_combination(query.categories, rho)
-    s = [oracle.dist(v, rho[0]) for v in query.group.sources]
+    sources, destinations = query.group.sources, query.group.destinations
+    oracle.prefetch((*sources, *rho[:-1], *destinations))  # every row read below
+    s = [oracle.dist(v, rho[0]) for v in sources]
     chain = [oracle.dist(u, v) for u, v in zip(rho, rho[1:])]
-    t = [oracle.dist(rho[-1], v) for v in query.group.destinations]
+    t = [oracle.dist(v, rho[-1]) for v in destinations]
     return _route(rho, s, chain, t, query.envy_threshold)
 
 
@@ -201,38 +203,56 @@ class _Tables:
 
     cats: tuple[tuple[int, ...], ...]
     s_np: np.ndarray  # (n1, b): dist(source_i, first-category POI)
-    t_np: np.ndarray  # (nk, b): dist(last-category POI, destination_i)
+    t_np: np.ndarray  # (nk, b): dist(destination_i, last-category POI)
     s_cols: list[list[float]]
     t_cols: list[list[float]]
     # legs[i][p][q] = dist(cats[i][p], cats[i + 1][q]), one (n_i x n_{i+1})
-    # block per category step; empty when only the end legs were built
-    legs: list[list[list[float]]]
+    # block per category step, filled by _fetch_chain. The fast solve does
+    # not fetch the rows of first POIs without a feasible last partner, so
+    # their entries in the first block are None; it fills no block at all
+    # when no pair is feasible.
+    legs: list[list[Optional[list[float]]]] = field(default_factory=list)
 
 
-def _prepare_tables(query: EfGtpQuery, oracle: DistanceOracle, chain: bool = True) -> _Tables:
-    """Gather the legs from one batched row fetch; chain=False builds only
-    the end legs, which is all the pair-gap table reads."""
+def _prepare_tables(query: EfGtpQuery, oracle: DistanceOracle) -> _Tables:
+    """Build the end legs from one batched fetch of the member rows, which
+    is all the pair-gap table reads."""
     cats = query.categories.categories
     b = query.b
-    starts = cats[:-1] if chain else ()  # chain legs start in categories 1..k-1
-    rows = oracle.rows(
-        itertools.chain(query.group.sources, query.group.destinations, *starts)
-    )
+    rows = oracle.rows(itertools.chain(query.group.sources, query.group.destinations))
     s_np = rows[:b][:, cats[0]].T.copy()  # (n1, b), read from the source rows
-    t_np = rows[b : 2 * b][:, cats[-1]].T.copy()  # (nk, b), from the destination rows
-    legs = []
-    at = 2 * b
-    for cat, nxt in zip(starts, cats[1:]):
-        legs.append(rows[at : at + len(cat)][:, nxt].tolist())
+    t_np = rows[b:][:, cats[-1]].T.copy()  # (nk, b), from the destination rows
+    return _Tables(cats=cats, s_np=s_np, t_np=t_np, s_cols=s_np.tolist(), t_cols=t_np.tolist())
+
+
+def _fetch_chain(
+    query: EfGtpQuery, tables: _Tables, oracle: DistanceOracle, gaps: np.ndarray, faithful: bool
+) -> None:
+    """Fill tables.legs from one more batched row fetch, made after the
+    pair-gap table: the rows of the first-category POIs that start a
+    scanned combination, plus every interior POI, whose rows any such
+    combination reads. The fast solve scans only first POIs with a
+    feasible last partner and fetches nothing when no pair is feasible;
+    faithful=True visits every combination and fetches every row."""
+    cats = tables.cats
+    if len(cats) == 1:
+        return
+    if faithful:
+        firsts = list(range(len(cats[0])))
+    else:
+        firsts = np.flatnonzero((gaps <= query.envy_threshold).any(axis=1)).tolist()
+        if not firsts:
+            return
+    interior = cats[1:-1]
+    rows = oracle.rows(itertools.chain((cats[0][p] for p in firsts), *interior))
+    first_block: list[Optional[list[float]]] = [None] * len(cats[0])
+    for p, row in zip(firsts, rows[: len(firsts)][:, cats[1]].tolist()):
+        first_block[p] = row
+    tables.legs = [first_block]
+    at = len(firsts)
+    for cat, nxt in zip(interior, cats[2:]):
+        tables.legs.append(rows[at : at + len(cat)][:, nxt].tolist())
         at += len(cat)
-    return _Tables(
-        cats=cats,
-        s_np=s_np,
-        t_np=t_np,
-        s_cols=s_np.tolist(),
-        t_cols=t_np.tolist(),
-        legs=legs,
-    )
 
 
 def _pair_gaps(tables: _Tables) -> np.ndarray:
@@ -375,6 +395,10 @@ def solve_exact(
 
     faithful=True evaluates every combination literally; the default
     prefilters by first/last POI pairs and yields identical outcomes.
+    Rows are fetched in two batched steps: the member rows, which build
+    the pair-gap table, then the chain rows of the first POIs the scan
+    starts from and of the interior categories. The default fetches no
+    chain row when no pair is feasible; faithful fetches them all.
     debug_matrix receives one CSV row per combination (forces faithful;
     limited to 1e6 combinations).
     """
@@ -390,7 +414,9 @@ def solve_exact(
         writer_fn = _matrix_writer(debug_matrix, query, oracle.net)
 
     tables = _prepare_tables(query, oracle)
-    found = _scan(query, tables, _pair_gaps(tables), faithful, progress_every, writer_fn)
+    gaps = _pair_gaps(tables)
+    _fetch_chain(query, tables, oracle, gaps, faithful)
+    found = _scan(query, tables, gaps, faithful, progress_every, writer_fn)
     optimal = None if found.best_pos is None else _table_route(query, tables, found.best_pos)
     return SolveOutcome(
         optimal=optimal,
@@ -409,7 +435,7 @@ def gap_distribution(query: EfGtpQuery, oracle: DistanceOracle) -> np.ndarray:
     therefore quantiles over pairs, not over the combination space.
     """
     query.validate_against(oracle.net)
-    return _pair_gaps(_prepare_tables(query, oracle, chain=False)).ravel()
+    return _pair_gaps(_prepare_tables(query, oracle)).ravel()
 
 
 def min_additional_distance(
@@ -422,7 +448,7 @@ def min_additional_distance(
     guaranteed feasible, and every newly feasible combination attains d.
     """
     query.validate_against(oracle.net)
-    tables = _prepare_tables(query, oracle, chain=False)
+    tables = _prepare_tables(query, oracle)
     gaps = _pair_gaps(tables)
     if (gaps <= query.envy_threshold).any():
         raise ValueError(

@@ -13,9 +13,11 @@ from typing import Iterable, Optional
 
 import numpy as np
 from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import connected_components
 from scipy.sparse.csgraph import dijkstra as _dijkstra
 
-from .network import RoadNetwork, is_connected
+# is_connected stays importable here: the traced benchmark wraps it by name
+from .network import RoadNetwork, is_connected  # noqa: F401
 
 FULL = "full"
 ON_DEMAND = "on-demand"
@@ -40,17 +42,24 @@ class DistanceOracle:
     """dist(u, v) lookups over a fixed network.
 
     Full mode holds the whole matrix; on-demand mode memoizes rows as
-    sources are queried. On-demand insertion is lock-protected so that
-    concurrent readers never observe a partially built row.
+    sources are queried, running Dijkstra on graph, the network's CSR
+    adjacency. On-demand insertion is lock-protected so that concurrent
+    readers never observe a partially built row.
     """
 
-    def __init__(self, net: RoadNetwork, mode: str, matrix: Optional[np.ndarray] = None):
+    def __init__(
+        self,
+        net: RoadNetwork,
+        mode: str,
+        matrix: Optional[np.ndarray] = None,
+        graph: Optional[csr_matrix] = None,
+    ):
         if mode not in (FULL, ON_DEMAND):
             raise ValueError(f"unknown oracle mode {mode!r}")
         self.net = net
         self.mode = mode
         self.matrix = matrix
-        self._graph = _build_csgraph(net) if mode == ON_DEMAND else None
+        self._graph = graph
         self._rows: dict[int, np.ndarray] = {}
         self._lock = threading.Lock()
 
@@ -82,19 +91,29 @@ class DistanceOracle:
             row = self._rows[s]
         return row
 
+    def prefetch(self, sources: Iterable[int]) -> None:
+        """Validate every source id; in on-demand mode, compute the rows not
+        yet memoized (duplicates once) together in one Dijkstra call and
+        memoize them. Full mode already holds every row."""
+        if self.mode == FULL:
+            for s in sources:
+                self._check(s)
+            return
+        # a memoized id was validated before its row was computed
+        missing = [s for s in sources if s not in self._rows]
+        for s in missing:
+            self._check(s)
+        if missing:
+            self._memoize(list(dict.fromkeys(missing)))
+
     def rows(self, sources: Iterable[int]) -> np.ndarray:
         """Read-only (len(sources), n) array of the distance rows from sources,
-        in order; in on-demand mode the rows not yet memoized are computed
-        together in one Dijkstra call and memoized."""
+        in order, after one prefetch of them."""
         sources = list(sources)
-        for s in sources:
-            self._check(s)
+        self.prefetch(sources)
         if self.mode == FULL:
             out = self.matrix[sources]
         else:
-            missing = [s for s in dict.fromkeys(sources) if s not in self._rows]
-            if missing:
-                self._memoize(missing)
             out = np.empty((len(sources), self.vertex_count))
             for i, s in enumerate(sources):
                 out[i] = self._rows[s]
@@ -102,18 +121,16 @@ class DistanceOracle:
         return out
 
     def dist(self, u: int, v: int) -> float:
-        """Exact shortest-path length between u and v."""
+        """Exact shortest-path length from u to v, always read as row(u)[v]:
+        on non-integer weights the row of v can differ in the last bits."""
         self._check(u)
         self._check(v)
         if self.mode == FULL:
             return float(self.matrix[u, v])
-        cached = self._rows.get(u)
-        if cached is not None:
-            return float(cached[v])
-        cached = self._rows.get(v)  # dist is symmetric on undirected networks
-        if cached is not None:
-            return float(cached[u])
-        return float(self.row(u)[v])
+        row = self._rows.get(u)
+        if row is None:
+            row = self.row(u)
+        return float(row[v])
 
     def save_matrix(self, path: str) -> None:
         """Write the full matrix cache: magic, n as u64-LE, n*n f64-LE row-major."""
@@ -136,8 +153,13 @@ def build_oracle(
 
     required_sources prewarms those rows in on-demand mode. Full mode
     refuses to allocate beyond max_bytes and reports the required size.
+    The network's CSR adjacency is built once, for the connectivity check
+    and for Dijkstra.
     """
-    if not is_connected(net):
+    graph = _build_csgraph(net)
+    if net.vertex_count == 0 or connected_components(
+        graph, directed=False, return_labels=False
+    ) != 1:
         raise ValueError(
             "network is not connected; apply largest_connected_component first"
         )
@@ -149,11 +171,11 @@ def build_oracle(
                 f"full distance matrix needs {needed} bytes "
                 f"({n}x{n} float64), limit is {max_bytes}"
             )
-        matrix = _dijkstra(_build_csgraph(net), directed=False)
+        matrix = _dijkstra(graph, directed=False)
         return DistanceOracle(net, FULL, matrix=matrix)
-    oracle = DistanceOracle(net, ON_DEMAND)
+    oracle = DistanceOracle(net, ON_DEMAND, graph=graph)
     if required_sources is not None:
-        oracle.rows(required_sources)
+        oracle.prefetch(required_sources)
     return oracle
 
 

@@ -40,6 +40,8 @@ class BruteOutcome:
     feasible_count: int
     best_aggregated: Optional[float]
     best_combo: Optional[tuple[int, ...]]
+    best_members: Optional[tuple[float, ...]]
+    best_gap: Optional[float]
     min_gap: float
     min_gap_combo: tuple[int, ...]
     epsilon: float
@@ -66,6 +68,8 @@ def brute_force_solve(query: EfGtpQuery, dist: np.ndarray) -> BruteOutcome:
     best_key = None
     best_agg = None
     best_combo = None
+    best_members = None
+    best_gap = None
     min_key = None
     min_gap = None
     min_combo = None
@@ -76,7 +80,7 @@ def brute_force_solve(query: EfGtpQuery, dist: np.ndarray) -> BruteOutcome:
             d = float(dist[s, combo[0]])
             for a, c in zip(combo, combo[1:]):
                 d = d + float(dist[a, c])
-            d = d + float(dist[combo[-1], t])
+            d = d + float(dist[t, combo[-1]])  # each end leg from its member's row
             members.append(d)
         agg = 0.0
         for d in members:
@@ -97,11 +101,15 @@ def brute_force_solve(query: EfGtpQuery, dist: np.ndarray) -> BruteOutcome:
                 best_key = (agg, pos)
                 best_agg = agg
                 best_combo = combo
+                best_members = tuple(members)
+                best_gap = gap
     epsilon = 0.0 if count else min_gap - threshold
     return BruteOutcome(
         feasible_count=count,
         best_aggregated=best_agg,
         best_combo=best_combo,
+        best_members=best_members,
+        best_gap=best_gap,
         min_gap=min_gap,
         min_gap_combo=min_combo,
         epsilon=epsilon,

@@ -295,13 +295,13 @@ class TestNonIntegerWeights:
             assert out.optimal.feasible
             assert out.optimal.max_gap <= q.envy_threshold
             assert out == solve_exact(q, oracle, faithful=True)
-            if mode == ON_DEMAND:  # a full matrix is not exactly symmetric (README)
-                assert evaluate_route(q, out.optimal.combination, oracle) == out.optimal
+            assert evaluate_route(q, out.optimal.combination, oracle) == out.optimal
 
 
 class TestOracleStates:
-    """The solver gathers its legs from one batched row fetch; what the
-    oracle already holds must not change a bit of the outcome."""
+    """The solver gathers its legs from batched row fetches; what the oracle
+    already holds must not change a bit of the outcome, and every leg is
+    read from the row of its member endpoint or of its earlier POI."""
 
     def test_fresh_warm_and_full_oracles_agree(self, europe):
         warm = build_oracle(europe)
@@ -313,21 +313,68 @@ class TestOracleStates:
                 min_gap = float(gap_distribution(q, build_oracle(europe)).min())
                 for D in (0.0, min_gap, math.inf):
                     qd = q.with_threshold(D)
-                    fresh = repr(solve_exact(qd, build_oracle(europe)))
-                    assert repr(solve_exact(qd, warm)) == fresh
-                    assert repr(solve_exact(qd, full)) == fresh
+                    out = solve_exact(qd, build_oracle(europe))
+                    assert repr(solve_exact(qd, warm)) == repr(out)
+                    assert repr(solve_exact(qd, full)) == repr(out)
+                    if out.feasible:  # europe's weights round: zero tolerance still
+                        for oracle in (build_oracle(europe), warm, full):
+                            got = evaluate_route(qd, out.optimal.combination, oracle)
+                            assert got == out.optimal
 
     def test_end_leg_calls_fetch_only_member_rows(self, europe):
-        cats = assign_categories(europe, 3, 8, seed=61)
-        q = generate_query(europe, 4, cats, D=0.0, seed=62)
+        # MAD, gap_distribution and a fast solve with no feasible pair read
+        # only the pair-gap table, which needs only the member rows
+        for k, seed in ((2, 58), (3, 61), (4, 66)):
+            cats = assign_categories(europe, k, 8, seed=seed)
+            q = generate_query(europe, 4, cats, D=0.0, seed=seed + 1)
+            members = set(q.group.sources) | set(q.group.destinations)
+            oracle = build_oracle(europe)
+            d, eps, _ = min_additional_distance(q, oracle)
+            assert eps == d > 0.0
+            assert set(oracle._rows) == members
+            oracle = build_oracle(europe)
+            gap_distribution(q, oracle)
+            assert set(oracle._rows) == members
+            oracle = build_oracle(europe)
+            assert not solve_exact(q, oracle).feasible
+            assert set(oracle._rows) == members
+
+    def test_evaluate_route_fetches_its_rows_in_one_call(self, europe, monkeypatch):
+        cats = assign_categories(europe, 3, 5, seed=90)
+        q = generate_query(europe, 4, cats, D=math.inf, seed=91)
+        rho = tuple(cat[0] for cat in cats.categories)
+        oracle = build_oracle(europe)
+        calls = []
+        memoize = oracle._memoize
+        monkeypatch.setattr(oracle, "_memoize", lambda s: (calls.append(set(s)), memoize(s)))
+        evaluate_route(q, rho, oracle)
         members = set(q.group.sources) | set(q.group.destinations)
-        oracle = build_oracle(europe)
-        d, eps, _ = min_additional_distance(q, oracle)
-        assert eps == d > 0.0
-        assert set(oracle._rows) == members
-        oracle = build_oracle(europe)
-        gap_distribution(q, oracle)
-        assert set(oracle._rows) == members
+        assert calls == [members | set(rho[:-1])]
+
+    def test_feasible_fast_solve_fetches_feasible_firsts_and_interior(self, europe):
+        for k in (2, 3, 4):
+            cats = assign_categories(europe, k, 6, seed=70 + k)
+            q = generate_query(europe, 4, cats, D=0.0, seed=71 + k)
+            gaps = gap_distribution(q, build_oracle(europe)).reshape(6, 6)
+            D = float(np.quantile(gaps, 0.1))
+            feasible_firsts = {cats.categories[0][p] for p in np.flatnonzero((gaps <= D).any(axis=1))}
+            assert 0 < len(feasible_firsts) < 6
+            oracle = build_oracle(europe)
+            assert solve_exact(q.with_threshold(D), oracle).feasible
+            interior = {v for cat in cats.categories[1:-1] for v in cat}
+            members = set(q.group.sources) | set(q.group.destinations)
+            assert set(oracle._rows) == members | feasible_firsts | interior
+
+    def test_faithful_and_debug_matrix_fetch_every_chain_start(self, europe):
+        for k in (2, 3):
+            cats = assign_categories(europe, k, 5, seed=80 + k)
+            q = generate_query(europe, 4, cats, D=0.0, seed=81 + k)
+            starts = {v for cat in cats.categories[:-1] for v in cat}
+            members = set(q.group.sources) | set(q.group.destinations)
+            for kwargs in ({"faithful": True}, {"debug_matrix": io.StringIO()}):
+                oracle = build_oracle(europe)
+                assert not solve_exact(q, oracle, **kwargs).feasible
+                assert set(oracle._rows) == members | starts
 
 
 class TestMinAdditionalDistance:

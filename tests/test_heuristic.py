@@ -1,5 +1,7 @@
 """Greedy GNN/NN construction: hand cases, linear-scan oracles, dominance."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -9,15 +11,18 @@ from efgtp import (
     CategoryAssignment,
     EfGtpQuery,
     GroupSpec,
+    assign_categories,
     build_oracle,
     europe_like,
     evaluate_route,
+    generate_query,
     group_nearest_neighbor,
     nearest_neighbor,
     parse_edge_list,
     solve_exact,
     solve_heuristic,
 )
+from efgtp.heuristic import INDEX_MODES
 
 from support import (
     brute_force_solve,
@@ -270,6 +275,36 @@ class TestSolveHeuristic:
             ref,
         )
         assert (brute.feasible_count == 1) == res.route.feasible
+
+    def test_cold_solve_computes_only_the_rows_its_picks_read(self):
+        # the picks read the member rows and each NN's predecessor; route
+        # evaluation reads legs from those rows, plus the first POI's for k = 2
+        net = europe_like()
+        for k in (2, 4):
+            cats = assign_categories(net, k, 10, seed=320 + k)
+            q = generate_query(net, 4, cats, D=math.inf, seed=330 + k)
+            oracle = build_oracle(net)
+            res = solve_heuristic(q, oracle)
+            members = set(q.group.sources) | set(q.group.destinations)
+            assert set(oracle._rows) == members | set(res.combination[:-1])
+
+    def test_same_result_across_oracle_modes_and_cache_states(self):
+        # europe_like's weights round, so the row of v can differ from the
+        # row of u in dist(u, v); every leg reads one fixed row
+        net = europe_like()
+        warm = build_oracle(net)
+        full = build_oracle(net, FULL)
+        for k in (1, 2, 3, 4):
+            cats = assign_categories(net, k, 8, seed=340 + k)
+            warm.rows(v for cat in cats.categories for v in cat)
+            for b in (1, 4):
+                q = generate_query(net, b, cats, D=math.inf, seed=350 + k * b)
+                for index in INDEX_MODES:
+                    fresh = solve_heuristic(q, build_oracle(net), index=index)
+                    assert solve_heuristic(q, warm, index=index) == fresh
+                    assert solve_heuristic(q, full, index=index) == fresh
+                    for oracle in (build_oracle(net), warm, full):
+                        assert evaluate_route(q, fresh.combination, oracle) == fresh.route
 
     def test_unknown_index_mode(self, path_oracle):
         q = query(None, [0], [4], [(2,)], 1.0)

@@ -9,6 +9,7 @@ from efgtp import (
     FULL,
     ON_DEMAND,
     CapacityError,
+    RoadNetwork,
     build_oracle,
     europe_like,
     load_matrix,
@@ -69,9 +70,27 @@ def test_edge_weight_is_upper_bound():
 
 
 def test_disconnected_network_rejected():
-    net = parse_edge_list("a b 1\nx y 1\n")
-    with pytest.raises(ValueError, match="not connected"):
-        build_oracle(net)
+    empty = RoadNetwork(vertex_count=0, edges=(), external_ids=())
+    for net in (parse_edge_list("a b 1\nx y 1\n"), empty):
+        for mode in (ON_DEMAND, FULL):
+            with pytest.raises(ValueError) as err:
+                build_oracle(net, mode)
+            assert str(err.value) == (
+                "network is not connected; apply largest_connected_component first"
+            )
+
+
+def test_dist_reads_the_row_of_its_first_vertex():
+    # europe_like's weights round, and its matrix is not exactly symmetric
+    net = europe_like()
+    full = build_oracle(net, FULL)
+    diff = np.argwhere(full.matrix != full.matrix.T)
+    assert len(diff)
+    for u, v in diff[:20].tolist():
+        oracle = build_oracle(net, required_sources=[v])
+        assert oracle.dist(u, v) == full.matrix[u, v] == oracle.row(u)[v]
+        assert full.dist(u, v) == full.matrix[u, v]
+        assert sorted(oracle._rows) == sorted({u, v})
 
 
 def test_capacity_guard_reports_requirement():
@@ -214,6 +233,8 @@ class TestRows:
             oracle.rows([1, 1174, 2])
         with pytest.raises(ValueError, match="vertex id -3 out of range"):
             oracle.rows([-3])
+        with pytest.raises(ValueError, match="vertex id 1174 out of range"):
+            oracle.prefetch([1, 1174])
         assert oracle._rows == {}
 
     def test_read_only(self, europe):
