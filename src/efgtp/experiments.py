@@ -87,21 +87,8 @@ class SweepConfig:
         return SweepConfig(**doc)
 
     def to_json(self) -> str:
-        doc = {
-            "dataset": self.dataset,
-            "k_values": list(self.k_values),
-            "per_category": self.per_category,
-            "b": self.b,
-            "seeds": list(self.seeds),
-            "solvers": list(self.solvers),
-        }
-        if self.coords is not None:
-            doc["coords"] = self.coords
-        if self.d_values is not None:
-            doc["d_values"] = list(self.d_values)
-        if self.d_quantiles is not None:
-            doc["d_quantiles"] = list(self.d_quantiles)
-        return json.dumps(doc, indent=2) + "\n"
+        doc = {f.name: getattr(self, f.name) for f in fields(self)}
+        return json.dumps({k: v for k, v in doc.items() if v is not None}, indent=2) + "\n"
 
 
 @dataclass(frozen=True)

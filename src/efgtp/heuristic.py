@@ -49,6 +49,7 @@ def _pick(points: Sequence[int], candidates: Sequence[int], oracle: DistanceOrac
     cands.sort()
     oracle._check(int(cands[0]))
     oracle._check(int(cands[-1]))
+    oracle.prefetch(points)  # cold rows in one Dijkstra call
     total = 0.0
     for p in points:
         total = total + oracle.row(p)[cands]

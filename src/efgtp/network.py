@@ -12,7 +12,7 @@ from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
-from scipy.sparse import coo_matrix
+from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
 Edge = tuple[int, int, float]
@@ -25,6 +25,7 @@ class RoadNetwork:
     edges hold (u, v, w) with u < v, no self-loops, no parallel edges.
     external_ids[i] is the original dataset token for internal id i.
     coords, when present, is an (n, 2) float64 array of planar positions.
+    csgraph is the symmetric CSR adjacency, built from the edges on first use.
     """
 
     vertex_count: int
@@ -32,6 +33,7 @@ class RoadNetwork:
     external_ids: tuple[str, ...]
     coords: Optional[np.ndarray] = None
     _ext_index: dict[str, int] = field(init=False, repr=False)
+    _csgraph: Optional[csr_matrix] = field(init=False, repr=False, default=None)
 
     def __post_init__(self):
         n = self.vertex_count
@@ -64,6 +66,16 @@ class RoadNetwork:
     @property
     def edge_count(self) -> int:
         return len(self.edges)
+
+    @property
+    def csgraph(self) -> csr_matrix:
+        if self._csgraph is None:
+            n = self.vertex_count
+            e = np.asarray(self.edges, dtype=np.float64).reshape(-1, 3)
+            u, v, w = e[:, 0].astype(np.int64), e[:, 1].astype(np.int64), e[:, 2]
+            rows, cols = np.concatenate((u, v)), np.concatenate((v, u))  # both directions
+            self._csgraph = csr_matrix((np.concatenate((w, w)), (rows, cols)), shape=(n, n))
+        return self._csgraph
 
     def internal_id(self, external_id: str) -> int:
         try:
@@ -315,11 +327,7 @@ def with_euclidean_weights(net: RoadNetwork) -> RoadNetwork:
 
 def component_labels(net: RoadNetwork) -> tuple[np.ndarray, int]:
     """Label connected components; labels follow smallest-contained-id order."""
-    n = net.vertex_count
-    e = np.asarray(net.edges, dtype=np.float64).reshape(-1, 3)
-    u, v = e[:, 0].astype(np.int64), e[:, 1].astype(np.int64)
-    graph = coo_matrix((e[:, 2], (u, v)), shape=(n, n))
-    count, labels = connected_components(graph, directed=False)
+    count, labels = connected_components(net.csgraph, directed=False)
     return labels.astype(np.int64), int(count)
 
 

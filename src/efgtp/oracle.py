@@ -2,7 +2,8 @@
 
 Two modes: a full n-by-n matrix, or on-demand single-source rows memoized
 per source. Both answer identically; rows come from the same label-setting
-(Dijkstra) engine, so memoized and fresh rows are bitwise equal.
+(Dijkstra) engine on the network's CSR, so memoized and fresh rows are
+bitwise equal.
 """
 
 from __future__ import annotations
@@ -12,12 +13,9 @@ import threading
 from typing import Iterable, Optional
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components
 from scipy.sparse.csgraph import dijkstra as _dijkstra
 
-# is_connected stays importable here: the traced benchmark wraps it by name
-from .network import RoadNetwork, is_connected  # noqa: F401
+from .network import RoadNetwork, is_connected
 
 FULL = "full"
 ON_DEMAND = "on-demand"
@@ -30,37 +28,24 @@ class CapacityError(RuntimeError):
     """A requested computation would exceed the configured memory budget."""
 
 
-def _build_csgraph(net: RoadNetwork) -> csr_matrix:
-    n = net.vertex_count
-    e = np.asarray(net.edges, dtype=np.float64).reshape(-1, 3)
-    u, v, w = e[:, 0].astype(np.int64), e[:, 1].astype(np.int64), e[:, 2]
-    rows, cols = np.concatenate((u, v)), np.concatenate((v, u))  # both directions
-    return csr_matrix((np.concatenate((w, w)), (rows, cols)), shape=(n, n))
-
-
 class DistanceOracle:
     """dist(u, v) lookups over a fixed network.
 
-    Full mode holds the whole matrix; on-demand mode memoizes rows as
-    sources are queried, running Dijkstra on graph, the network's CSR
-    adjacency. On-demand insertion is lock-protected so that concurrent
-    readers never observe a partially built row.
+    Every read goes through one store of read-only rows. Given a matrix
+    (full mode), the store holds a view of each of its rows from the start;
+    otherwise (on-demand mode) rows are memoized as sources are queried,
+    running Dijkstra on net.csgraph. Insertion is lock-protected so that
+    concurrent readers never observe a partially built row.
     """
 
-    def __init__(
-        self,
-        net: RoadNetwork,
-        mode: str,
-        matrix: Optional[np.ndarray] = None,
-        graph: Optional[csr_matrix] = None,
-    ):
-        if mode not in (FULL, ON_DEMAND):
-            raise ValueError(f"unknown oracle mode {mode!r}")
+    def __init__(self, net: RoadNetwork, matrix: Optional[np.ndarray] = None):
         self.net = net
-        self.mode = mode
         self.matrix = matrix
-        self._graph = graph
+        self.mode = ON_DEMAND if matrix is None else FULL
         self._rows: dict[int, np.ndarray] = {}
+        if matrix is not None:
+            matrix.setflags(write=False)
+            self._rows.update(enumerate(matrix))
         self._lock = threading.Lock()
 
     @property
@@ -74,32 +59,24 @@ class DistanceOracle:
     def _memoize(self, sources: list[int]) -> None:
         """Compute and memoize the rows of distinct sources in one Dijkstra
         call; each row is bitwise equal to a single-source call's."""
-        batch = _dijkstra(self._graph, directed=False, indices=sources)
+        batch = _dijkstra(self.net.csgraph, directed=False, indices=sources)
         batch.setflags(write=False)
         with self._lock:
             for s, row in zip(sources, batch):
                 self._rows.setdefault(s, row)
 
     def row(self, s: int) -> np.ndarray:
-        """Distance vector from s; memoized in on-demand mode."""
-        self._check(s)
-        if self.mode == FULL:
-            return self.matrix[s]
+        """Read-only distance vector from s."""
         row = self._rows.get(s)
         if row is None:
-            self._memoize([s])
+            self.prefetch((s,))
             row = self._rows[s]
         return row
 
     def prefetch(self, sources: Iterable[int]) -> None:
-        """Validate every source id; in on-demand mode, compute the rows not
-        yet memoized (duplicates once) together in one Dijkstra call and
-        memoize them. Full mode already holds every row."""
-        if self.mode == FULL:
-            for s in sources:
-                self._check(s)
-            return
-        # a memoized id was validated before its row was computed
+        """Validate every source id not yet memoized (a memoized id was
+        checked before its row was stored), then compute those rows
+        (duplicates once) together in one Dijkstra call and memoize them."""
         missing = [s for s in sources if s not in self._rows]
         for s in missing:
             self._check(s)
@@ -111,22 +88,16 @@ class DistanceOracle:
         in order, after one prefetch of them."""
         sources = list(sources)
         self.prefetch(sources)
-        if self.mode == FULL:
-            out = self.matrix[sources]
-        else:
-            out = np.empty((len(sources), self.vertex_count))
-            for i, s in enumerate(sources):
-                out[i] = self._rows[s]
+        out = np.empty((len(sources), self.vertex_count))
+        for i, s in enumerate(sources):
+            out[i] = self._rows[s]
         out.setflags(write=False)
         return out
 
     def dist(self, u: int, v: int) -> float:
         """Exact shortest-path length from u to v, always read as row(u)[v]:
         on non-integer weights the row of v can differ in the last bits."""
-        self._check(u)
         self._check(v)
-        if self.mode == FULL:
-            return float(self.matrix[u, v])
         row = self._rows.get(u)
         if row is None:
             row = self.row(u)
@@ -146,37 +117,29 @@ class DistanceOracle:
 def build_oracle(
     net: RoadNetwork,
     mode: str = ON_DEMAND,
-    required_sources: Optional[Iterable[int]] = None,
     max_bytes: int = DEFAULT_MAX_BYTES,
 ) -> DistanceOracle:
     """Construct an oracle; full mode computes every row up front.
 
-    required_sources prewarms those rows in on-demand mode. Full mode
-    refuses to allocate beyond max_bytes and reports the required size.
-    The network's CSR adjacency is built once, for the connectivity check
-    and for Dijkstra.
+    An empty or disconnected network raises ValueError. Full mode refuses
+    to allocate beyond max_bytes and reports the required size.
     """
-    graph = _build_csgraph(net)
-    if net.vertex_count == 0 or connected_components(
-        graph, directed=False, return_labels=False
-    ) != 1:
+    if mode not in (FULL, ON_DEMAND):
+        raise ValueError(f"unknown oracle mode {mode!r}; expected {FULL!r} or {ON_DEMAND!r}")
+    if not is_connected(net):
         raise ValueError(
             "network is not connected; apply largest_connected_component first"
         )
-    if mode == FULL:
-        n = net.vertex_count
-        needed = n * n * 8
-        if needed > max_bytes:
-            raise CapacityError(
-                f"full distance matrix needs {needed} bytes "
-                f"({n}x{n} float64), limit is {max_bytes}"
-            )
-        matrix = _dijkstra(graph, directed=False)
-        return DistanceOracle(net, FULL, matrix=matrix)
-    oracle = DistanceOracle(net, ON_DEMAND, graph=graph)
-    if required_sources is not None:
-        oracle.prefetch(required_sources)
-    return oracle
+    if mode == ON_DEMAND:
+        return DistanceOracle(net)
+    n = net.vertex_count
+    needed = n * n * 8
+    if needed > max_bytes:
+        raise CapacityError(
+            f"full distance matrix needs {needed} bytes "
+            f"({n}x{n} float64), limit is {max_bytes}"
+        )
+    return DistanceOracle(net, _dijkstra(net.csgraph, directed=False))
 
 
 def load_matrix(path: str, net: RoadNetwork) -> DistanceOracle:
@@ -197,4 +160,4 @@ def load_matrix(path: str, net: RoadNetwork) -> DistanceOracle:
             f"{path}: truncated matrix payload ({len(payload)} of {expected} bytes)"
         )
     matrix = np.frombuffer(payload, dtype="<f8").reshape(n, n).astype(np.float64)
-    return DistanceOracle(net, FULL, matrix=matrix)
+    return DistanceOracle(net, matrix)

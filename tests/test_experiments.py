@@ -93,6 +93,12 @@ class TestSweepConfig:
             config(d_values=None, d_quantiles=(0.1, 0.9), coords="grid.co"),
         ):
             assert SweepConfig.from_json(cfg.to_json()) == cfg
+        assert config(d_values=None, d_quantiles=(0.1, 0.9), coords="grid.co").to_json() == (
+            '{\n  "dataset": "synthetic",\n  "k_values": [\n    1,\n    2\n  ],\n'
+            '  "per_category": 3,\n  "b": 2,\n  "seeds": [\n    0,\n    1\n  ],\n'
+            '  "solvers": [\n    "exact"\n  ],\n  "coords": "grid.co",\n'
+            '  "d_quantiles": [\n    0.1,\n    0.9\n  ]\n}\n'
+        )
 
     def test_from_json_rejects_unknown_keys(self):
         doc = json.loads(config().to_json())

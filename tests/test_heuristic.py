@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import efgtp.oracle
 from efgtp import (
     FULL,
     ON_DEMAND,
@@ -159,6 +160,23 @@ class TestGroupNearestNeighbor:
         assert group_nearest_neighbor(points, [4, 2], oracle) == (
             linear_network_gnn(points, [4, 2], ref)
         ) == 2
+
+    def test_cold_points_take_one_dijkstra_call(self, monkeypatch):
+        net = europe_like()
+        calls = []
+        dijkstra = efgtp.oracle._dijkstra
+        monkeypatch.setattr(
+            efgtp.oracle, "_dijkstra", lambda *a, **kw: calls.append(1) or dijkstra(*a, **kw)
+        )
+        cats = assign_categories(net, 1, 30, seed=360)
+        points = [5, 900, 17, 5, 311]
+        want = group_nearest_neighbor(points, cats.categories[0], build_oracle(net, FULL))
+        assert calls == [1]  # the full matrix
+        oracle = build_oracle(net)
+        assert group_nearest_neighbor(points, cats.categories[0], oracle) == want
+        assert len(calls) == 2 and sorted(oracle._rows) == [5, 17, 311, 900]
+        assert group_nearest_neighbor(points, cats.categories[0], oracle) == want
+        assert len(calls) == 2
 
     def test_out_of_range_candidates(self, path_oracle):
         with pytest.raises(ValueError, match="vertex id -2 out of range"):

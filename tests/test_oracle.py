@@ -5,6 +5,8 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
+import efgtp.network
+import efgtp.oracle
 from efgtp import (
     FULL,
     ON_DEMAND,
@@ -12,6 +14,8 @@ from efgtp import (
     RoadNetwork,
     build_oracle,
     europe_like,
+    is_connected,
+    largest_connected_component,
     load_matrix,
     parse_edge_list,
 )
@@ -87,7 +91,8 @@ def test_dist_reads_the_row_of_its_first_vertex():
     diff = np.argwhere(full.matrix != full.matrix.T)
     assert len(diff)
     for u, v in diff[:20].tolist():
-        oracle = build_oracle(net, required_sources=[v])
+        oracle = build_oracle(net)
+        oracle.prefetch([v])
         assert oracle.dist(u, v) == full.matrix[u, v] == oracle.row(u)[v]
         assert full.dist(u, v) == full.matrix[u, v]
         assert sorted(oracle._rows) == sorted({u, v})
@@ -100,21 +105,37 @@ def test_capacity_guard_reports_requirement():
         build_oracle(net, mode=FULL, max_bytes=1000)  # 40*40*8 = 12800
 
 
-def test_vertex_validation():
+def test_unknown_mode_rejected():
+    net = random_network(np.random.default_rng(106), 10)
+    with pytest.raises(ValueError, match="unknown oracle mode 'ful'"):
+        build_oracle(net, mode="ful")
+
+
+def test_vertex_validation(tmp_path):
     rng = np.random.default_rng(106)
     net = random_network(rng, 10)
-    oracle = build_oracle(net)
-    with pytest.raises(ValueError):
-        oracle.row(-1)
-    with pytest.raises(ValueError):
-        oracle.dist(0, 10)
+    build_oracle(net, FULL).save_matrix(tmp_path / "dist.bin")
+    oracles = (build_oracle(net), build_oracle(net, FULL), load_matrix(tmp_path / "dist.bin", net))
+    for oracle in oracles:
+        for bad in (-1, -3, 10):
+            for read in (
+                lambda: oracle.row(bad),
+                lambda: oracle.dist(bad, 0),
+                lambda: oracle.dist(0, bad),
+                lambda: oracle.rows([1, bad]),
+                lambda: oracle.prefetch([1, bad]),
+            ):
+                with pytest.raises(ValueError, match=f"vertex id {bad} out of range"):
+                    read()
+    assert oracles[0]._rows == {}
 
 
-def test_required_sources_prewarm():
+def test_prefetch_prewarms():
     rng = np.random.default_rng(107)
     net = random_network(rng, 20)
     ref = floyd_warshall(net)
-    oracle = build_oracle(net, required_sources=[3, 7])
+    oracle = build_oracle(net)
+    oracle.prefetch([3, 7])
     assert sorted(oracle._rows) == [3, 7]
     fresh = build_oracle(net)
     for s in (3, 7):
@@ -187,6 +208,34 @@ def test_concurrent_queries_consistent():
             assert np.array_equal(row, ref[u])
 
 
+def test_one_csr_per_network(monkeypatch):
+    built, searched = [], []
+    csr, dijkstra = efgtp.network.csr_matrix, efgtp.oracle._dijkstra
+    monkeypatch.setattr(
+        efgtp.network, "csr_matrix", lambda *a, **kw: built.append(1) or csr(*a, **kw)
+    )
+    monkeypatch.setattr(
+        efgtp.oracle, "_dijkstra", lambda g, **kw: searched.append(g) or dijkstra(g, **kw)
+    )
+    net = random_network(np.random.default_rng(114), 12)
+    build_oracle(net).rows([0, 5])
+    build_oracle(net, FULL)
+    assert is_connected(net)
+    graph = net.csgraph
+    assert len(built) == 1 and [g is graph for g in searched] == [True, True]
+    assert graph.nnz == 2 * net.edge_count and (graph != graph.T).nnz == 0
+
+    moved = net.with_coords(np.zeros((12, 2)))
+    assert moved.csgraph is not graph and (moved.csgraph != graph).nnz == 0
+    assert len(built) == 2
+
+    split = parse_edge_list("a b 1\nb c 2\nx y 1\n")
+    assert not is_connected(split)
+    lcc = largest_connected_component(split)
+    assert lcc.csgraph is not split.csgraph and lcc.csgraph.shape == (3, 3)
+    assert build_oracle(lcc).dist(0, 2) == 3.0
+
+
 def test_rows_are_read_only():
     rng = np.random.default_rng(112)
     net = random_network(rng, 10)
@@ -199,6 +248,15 @@ def test_rows_are_read_only():
 @pytest.fixture(scope="module")
 def europe():
     return europe_like()
+
+
+@pytest.fixture(scope="module")
+def europe_full(europe, tmp_path_factory):
+    """A full-mode oracle and its matrix reloaded through load_matrix."""
+    full = build_oracle(europe, FULL)
+    path = tmp_path_factory.mktemp("matrix") / "dist.bin"
+    full.save_matrix(path)
+    return full, load_matrix(path, europe)
 
 
 class TestRows:
@@ -227,22 +285,29 @@ class TestRows:
             assert row.tobytes() == fresh.row(s).tobytes()
         assert oracle.rows([]).shape == (0, europe.vertex_count)
 
-    def test_out_of_range_raises_before_dijkstra(self, europe):
-        oracle = build_oracle(europe)
-        with pytest.raises(ValueError, match="vertex id 1174 out of range"):
-            oracle.rows([1, 1174, 2])
-        with pytest.raises(ValueError, match="vertex id -3 out of range"):
-            oracle.rows([-3])
-        with pytest.raises(ValueError, match="vertex id 1174 out of range"):
-            oracle.prefetch([1, 1174])
-        assert oracle._rows == {}
+    def test_out_of_range_raises_before_dijkstra(self, europe, europe_full, monkeypatch):
+        calls = []
+        dijkstra = efgtp.oracle._dijkstra
+        monkeypatch.setattr(
+            efgtp.oracle, "_dijkstra", lambda *a, **kw: calls.append(1) or dijkstra(*a, **kw)
+        )
+        lazy = build_oracle(europe)
+        for oracle in (lazy, *europe_full):
+            for bad in (-1, -3, 1174):
+                with pytest.raises(ValueError, match=f"vertex id {bad} out of range"):
+                    oracle.rows([1, bad, 2])
+                with pytest.raises(ValueError, match=f"vertex id {bad} out of range"):
+                    oracle.rows([bad])
+                with pytest.raises(ValueError, match=f"vertex id {bad} out of range"):
+                    oracle.prefetch([1, bad])
+        assert calls == [] and lazy._rows == {}
 
-    def test_read_only(self, europe):
-        for oracle in (build_oracle(europe), build_oracle(europe, FULL)):
+    def test_read_only(self, europe, europe_full):
+        for oracle in (build_oracle(europe), *europe_full):
             rows = oracle.rows([0, 7])
             with pytest.raises(ValueError):
                 rows[0, 0] = 5.0
-        oracle = build_oracle(europe)
-        oracle.rows([3])
-        with pytest.raises(ValueError):
-            oracle.row(3)[0] = 5.0
+            for s in (3, 0):
+                with pytest.raises(ValueError):
+                    oracle.row(s)[0] = 5.0
+            assert oracle.row(3)[0] == oracle.dist(3, 0)
