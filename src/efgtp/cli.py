@@ -9,7 +9,9 @@ from __future__ import annotations
 
 import argparse
 import logging
+import shutil
 import sys
+import tempfile
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -40,40 +42,49 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("-v", "--verbose", action="store_true", help="log progress to stderr")
     sub = parser.add_subparsers(dest="command", metavar="command")
 
-    pe = sub.add_parser("solve-exact", help="exhaustive solve of one query file")
-    pe.add_argument("--graph", required=True, help="edge-list file")
-    pe.add_argument("--coords", help="vertex coordinates file")
-    pe.add_argument("--query", required=True, help="query JSON file")
+    solve = argparse.ArgumentParser(add_help=False)  # the inputs of one query
+    solve.add_argument("--graph", required=True, help="edge-list file")
+    solve.add_argument("--coords", help="vertex coordinates file")
+    solve.add_argument("--query", required=True, help="query JSON file")
+
+    pe = sub.add_parser("solve-exact", parents=[solve], help="exhaustive solve of one query file")
     pe.add_argument("--faithful", action="store_true", help="literal full enumeration")
     pe.add_argument("--debug-matrix", help="write per-combination CSV here")
     pe.set_defaults(func=_cmd_solve_exact)
 
-    ph = sub.add_parser("solve-heuristic", help="greedy GNN/NN solve of one query file")
-    ph.add_argument("--graph", required=True, help="edge-list file")
-    ph.add_argument("--coords", help="vertex coordinates file")
-    ph.add_argument("--query", required=True, help="query JSON file")
+    ph = sub.add_parser(
+        "solve-heuristic", parents=[solve], help="greedy GNN/NN solve of one query file"
+    )
     ph.add_argument("--index", choices=["euclidean"], help="pick POIs via R-tree instead of the oracle")
     ph.set_defaults(func=_cmd_solve_heuristic)
 
-    ps = sub.add_parser("sweep", help="threshold sweep over seeded instances")
-    ps.add_argument("--config", required=True, help="sweep config JSON file")
-    ps.add_argument("--out", required=True, help="output CSV path")
-    ps.set_defaults(func=_cmd_sweep)
-
-    pb = sub.add_parser("bench", help="exact-vs-heuristic comparison table")
-    pb.add_argument("--config", required=True, help="sweep config JSON file")
-    pb.add_argument("--out", required=True, help="output CSV path")
-    pb.set_defaults(func=_cmd_bench)
+    for name, help_text, run, to_csv in (
+        ("sweep", "threshold sweep over seeded instances", run_sweep, records_to_csv),
+        ("bench", "exact-vs-heuristic comparison table", compare_solvers, bench_to_csv),
+    ):
+        pg = sub.add_parser(name, help=help_text)
+        pg.add_argument("--config", required=True, help="sweep config JSON file")
+        pg.add_argument("--out", required=True, help="output CSV path")
+        pg.set_defaults(func=_cmd_grid, run=run, to_csv=to_csv)
     return parser
 
 
-def _cmd_solve_exact(args) -> int:
+def _load(args):
+    """The network, query and on-demand oracle a solve command reads."""
     net = load_network(args.graph, args.coords)
     query = load_query(Path(args.query).read_text(), net)
-    oracle = build_oracle(net)
+    return net, query, build_oracle(net)
+
+
+def _cmd_solve_exact(args) -> int:
+    net, query, oracle = _load(args)
     if args.debug_matrix:
-        with open(args.debug_matrix, "w", encoding="utf-8", newline="") as fh:
+        # through a temporary file, so a refused or failed solve leaves OUT as it was
+        with tempfile.TemporaryFile("w+", encoding="utf-8", newline="") as fh:
             out = solve_exact(query, oracle, faithful=args.faithful, debug_matrix=fh)
+            fh.seek(0)
+            with open(args.debug_matrix, "w", encoding="utf-8", newline="") as dst:
+                shutil.copyfileobj(fh, dst)
     else:
         out = solve_exact(query, oracle, faithful=args.faithful)
     ext = net.external_ids
@@ -92,9 +103,7 @@ def _cmd_solve_exact(args) -> int:
 
 
 def _cmd_solve_heuristic(args) -> int:
-    net = load_network(args.graph, args.coords)
-    query = load_query(Path(args.query).read_text(), net)
-    oracle = build_oracle(net)
+    net, query, oracle = _load(args)
     res = solve_heuristic(query, oracle, index=args.index)
     r = res.route
     combo = ",".join(net.external_ids[v] for v in r.combination)
@@ -107,18 +116,11 @@ def _cmd_solve_heuristic(args) -> int:
     return 0
 
 
-def _cmd_sweep(args) -> int:
+def _cmd_grid(args) -> int:
+    """sweep and bench: run the config's grid, write its CSV."""
     config = SweepConfig.from_json(Path(args.config).read_text())
-    records = run_sweep(config)
-    Path(args.out).write_text(records_to_csv(records), encoding="utf-8")
-    print(f"wrote {len(records)} records to {args.out}")
-    return 0
-
-
-def _cmd_bench(args) -> int:
-    config = SweepConfig.from_json(Path(args.config).read_text())
-    records = compare_solvers(config)
-    Path(args.out).write_text(bench_to_csv(records), encoding="utf-8")
+    records = args.run(config)
+    Path(args.out).write_text(args.to_csv(records), encoding="utf-8")
     print(f"wrote {len(records)} records to {args.out}")
     return 0
 

@@ -384,7 +384,6 @@ def solve_exact(
     oracle: DistanceOracle,
     faithful: bool = False,
     debug_matrix: Optional[IO[str]] = None,
-    progress_every: int = PROGRESS_EVERY,
 ) -> SolveOutcome:
     """Optimal feasible combination, or the minimum-slack report.
 
@@ -400,7 +399,7 @@ def solve_exact(
     starts from and of the interior categories. The default fetches no
     chain row when no pair is feasible; faithful fetches them all.
     debug_matrix receives one CSV row per combination (forces faithful;
-    limited to 1e6 combinations).
+    at most 1e6). Faithful solves log a tick every PROGRESS_EVERY combinations.
     """
     query.validate_against(oracle.net)
     writer_fn = None
@@ -416,7 +415,7 @@ def solve_exact(
     tables = _prepare_tables(query, oracle)
     gaps = _pair_gaps(tables)
     _fetch_chain(query, tables, oracle, gaps, faithful)
-    found = _scan(query, tables, gaps, faithful, progress_every, writer_fn)
+    found = _scan(query, tables, gaps, faithful, PROGRESS_EVERY, writer_fn)
     optimal = None if found.best_pos is None else _table_route(query, tables, found.best_pos)
     return SolveOutcome(
         optimal=optimal,
@@ -476,12 +475,33 @@ def _matrix_writer(stream: IO[str], query: EfGtpQuery, net: RoadNetwork):
     return emit
 
 
+def _json_is(value, kind) -> bool:
+    """Whether a decoded JSON value has type kind: a Python type or tuple
+    of types (a bool counts as none of them), float for any number, or
+    [kind] for a list whose items all have type kind."""
+    if isinstance(kind, list):
+        return isinstance(value, list) and all(_json_is(v, kind[0]) for v in value)
+    if isinstance(value, bool):
+        return False
+    return isinstance(value, (int, float) if kind is float else kind)
+
+
 def load_query(text: str, net: RoadNetwork) -> EfGtpQuery:
-    """Parse the JSON query format (external vertex ids)."""
+    """Parse the JSON query format (external vertex ids: strings or integers)."""
     doc = json.loads(text)
-    for key in ("sources", "destinations", "categories", "D"):
+    if not isinstance(doc, dict):
+        raise ValueError("query file must hold a JSON object")
+    id_list = [(str, int)]
+    for key, kind, what in (
+        ("sources", id_list, "a list of vertex ids"),
+        ("destinations", id_list, "a list of vertex ids"),
+        ("categories", [id_list], "a list of lists of vertex ids"),
+        ("D", float, "a number"),
+    ):
         if key not in doc:
             raise ValueError(f"query file missing {key!r}")
+        if not _json_is(doc[key], kind):
+            raise ValueError(f"query {key!r} must be {what}")
 
     def to_internal(values):
         return tuple(net.internal_id(str(v)) for v in values)
@@ -493,11 +513,9 @@ def load_query(text: str, net: RoadNetwork) -> EfGtpQuery:
     categories = CategoryAssignment(
         tuple(to_internal(cat) for cat in doc["categories"])
     )
-    query = EfGtpQuery(
+    return EfGtpQuery(
         group=group, categories=categories, envy_threshold=float(doc["D"])
     )
-    query.validate_against(net)
-    return query
 
 
 def dump_query(query: EfGtpQuery, net: RoadNetwork) -> str:

@@ -16,13 +16,13 @@ import io
 import json
 import logging
 import time
-from dataclasses import dataclass, fields
+from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .exact import EfGtpQuery, gap_distribution, solve_exact
+from .exact import EfGtpQuery, SolveOutcome, _json_is, gap_distribution, solve_exact
 from .heuristic import solve_heuristic
 from .network import (
     CategoryAssignment,
@@ -77,18 +77,42 @@ class SweepConfig:
     @staticmethod
     def from_json(text: str) -> "SweepConfig":
         doc = json.loads(text)
-        known = {f.name for f in fields(SweepConfig)}
-        unknown = set(doc) - known
+        if not isinstance(doc, dict):
+            raise ValueError("sweep config must hold a JSON object")
+        defaults = {f.name: f.default for f in fields(SweepConfig)}
+        unknown = set(doc) - set(defaults)
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        for key in ("k_values", "seeds", "solvers", "d_values", "d_quantiles"):
-            if doc.get(key) is not None:
-                doc[key] = tuple(doc[key])
+        missing = [k for k, v in defaults.items() if v is MISSING and k not in doc]
+        if missing:
+            raise ValueError(f"missing config keys: {missing}")
+        for key, value in doc.items():
+            if value is None and defaults[key] is None:
+                continue  # null leaves an optional key unset
+            kind, what = _CONFIG_JSON[key]
+            if not _json_is(value, kind):
+                raise ValueError(f"config key {key!r} must be {what}")
+            if isinstance(value, list):
+                doc[key] = tuple(value)
         return SweepConfig(**doc)
 
     def to_json(self) -> str:
         doc = {f.name: getattr(self, f.name) for f in fields(self)}
         return json.dumps({k: v for k, v in doc.items() if v is not None}, indent=2) + "\n"
+
+
+# the JSON type of each config key, and its wording in errors
+_CONFIG_JSON = {
+    "dataset": (str, "a string"),
+    "k_values": ([int], "a list of integers"),
+    "per_category": (int, "an integer"),
+    "b": (int, "an integer"),
+    "seeds": ([int], "a list of integers"),
+    "solvers": ([str], "a list of strings"),
+    "coords": (str, "a string"),
+    "d_values": ([float], "a list of numbers"),
+    "d_quantiles": ([float], "a list of numbers"),
+}
 
 
 @dataclass(frozen=True)
@@ -165,28 +189,6 @@ def threshold_quantiles(
     return tuple(float(np.quantile(gaps, q)) for q in quantiles)
 
 
-def _instance_seed(seed: int, k: int) -> int:
-    return 100_003 * seed + k  # one deterministic stream per (seed, k) cell
-
-
-def _instances(config: SweepConfig, net: RoadNetwork, oracle: DistanceOracle):
-    """(k, seed, query, thresholds) for each grid cell, in (k, seed) order.
-
-    The query is sampled at D = 0; thresholds come from the config's list or
-    from the instance's gap quantiles.
-    """
-    for k in config.k_values:
-        for seed in config.seeds:
-            base = _instance_seed(seed, k)
-            assignment = assign_categories(net, k, config.per_category, seed=base)
-            query = generate_query(net, config.b, assignment, D=0.0, seed=base + 1)
-            if config.d_values is not None:
-                thresholds = config.d_values
-            else:
-                thresholds = threshold_quantiles(query, oracle, config.d_quantiles)
-            yield k, seed, query, thresholds
-
-
 def load_network(dataset: str, coords: Optional[str] = None) -> RoadNetwork:
     """Read an edge list (plus optional coordinates), keep the largest component."""
     net = parse_edge_list(Path(dataset).read_text())
@@ -202,30 +204,62 @@ def load_network(dataset: str, coords: Optional[str] = None) -> RoadNetwork:
 
 
 # ---------------------------------------------------------------------------
-# sweep
+# the grid: one cell loop and one timed solve for both sweep and bench
 # ---------------------------------------------------------------------------
 
 
-def _solve_cell(
-    query: EfGtpQuery, solver: str, oracle: DistanceOracle
-) -> tuple[int, Optional[float], float, float, float]:
-    """(feasible_count, optimal_aggregated, d, epsilon, wall_time_ms) for one cell."""
+def _timed_solve(query: EfGtpQuery, solver: str, oracle: DistanceOracle):
+    """(result, wall_time_ms) of one solver on one query: a SolveOutcome
+    from the exact solvers, a HeuristicResult from the heuristic ones."""
     start = time.perf_counter()
     if solver in ("exact", "exact-faithful"):
         out = solve_exact(query, oracle, faithful=solver == "exact-faithful")
-        elapsed = (time.perf_counter() - start) * 1e3
-        agg = out.optimal.aggregated if out.optimal is not None else None
-        return out.feasible_count, agg, out.min_gap, out.epsilon, elapsed
-    res = solve_heuristic(
-        query, oracle, index="euclidean" if solver == "heuristic-indexed" else None
-    )
-    elapsed = (time.perf_counter() - start) * 1e3
-    route = res.route
+    else:
+        out = solve_heuristic(
+            query, oracle, index="euclidean" if solver == "heuristic-indexed" else None
+        )
+    return out, (time.perf_counter() - start) * 1e3
+
+
+def _cells(config: SweepConfig, net: Optional[RoadNetwork], solvers: Sequence[str]):
+    """(cell, query, results) per (k, seed, D) grid cell, in that loop order:
+    cell is (dataset, k, b, D, seed), the columns both record types start
+    with, and results one _timed_solve per solver, in the order given.
+
+    One on-demand oracle serves every solve. Each (k, seed) instance is
+    sampled at D = 0 and re-solved across the threshold grid: the config's
+    list, or the instance's gap quantiles.
+    """
+    if net is None:
+        net = load_network(config.dataset, config.coords)
+    start = time.perf_counter()
+    oracle = build_oracle(net)
+    logger.info("oracle ready in %.1f ms", (time.perf_counter() - start) * 1e3)
+    for k in config.k_values:
+        for seed in config.seeds:
+            base = 100_003 * seed + k  # one deterministic stream per (seed, k) cell
+            assignment = assign_categories(net, k, config.per_category, seed=base)
+            query = generate_query(net, config.b, assignment, D=0.0, seed=base + 1)
+            if config.d_values is not None:
+                thresholds = config.d_values
+            else:
+                thresholds = threshold_quantiles(query, oracle, config.d_quantiles)
+            for D in thresholds:
+                q = query.with_threshold(float(D))
+                cell = (config.dataset, k, config.b, q.envy_threshold, seed)
+                yield cell, q, [_timed_solve(q, solver, oracle) for solver in solvers]
+
+
+def _sweep_columns(query: EfGtpQuery, result) -> tuple:
+    """(feasible_count, optimal_aggregated, d, epsilon) of one solve."""
+    if isinstance(result, SolveOutcome):
+        agg = result.optimal.aggregated if result.optimal is not None else None
+        return result.feasible_count, agg, result.min_gap, result.epsilon
     # heuristic rows describe the single constructed route, not the whole space
-    feasible_count = 1 if route.feasible else 0
-    agg = route.aggregated if route.feasible else None
-    eps = 0.0 if route.feasible else route.max_gap - query.envy_threshold
-    return feasible_count, agg, route.max_gap, eps, elapsed
+    route = result.route
+    if route.feasible:
+        return 1, route.aggregated, route.max_gap, 0.0
+    return 0, None, route.max_gap, route.max_gap - query.envy_threshold
 
 
 def run_sweep(config: SweepConfig, net: Optional[RoadNetwork] = None) -> list[SweepRecord]:
@@ -235,40 +269,13 @@ def run_sweep(config: SweepConfig, net: Optional[RoadNetwork] = None) -> list[Sw
     rows show non-decreasing feasible counts and constant D + epsilon on the
     infeasible prefix.
     """
-    if net is None:
-        net = load_network(config.dataset, config.coords)
-    start = time.perf_counter()
-    oracle = build_oracle(net)
-    logger.info("oracle ready in %.1f ms", (time.perf_counter() - start) * 1e3)
-
-    records = []
-    for k, seed, query, thresholds in _instances(config, net, oracle):
-        for D in thresholds:
-            q = query.with_threshold(float(D))
-            for solver in config.solvers:
-                count, agg, d, eps, ms = _solve_cell(q, solver, oracle)
-                records.append(
-                    SweepRecord(
-                        dataset=config.dataset,
-                        k=k,
-                        b=config.b,
-                        D=float(D),
-                        seed=seed,
-                        solver=solver,
-                        feasible_count=count,
-                        optimal_aggregated=agg,
-                        d=d,
-                        epsilon=eps,
-                        wall_time_ms=ms,
-                    )
-                )
+    records = [
+        SweepRecord(*cell, solver, *_sweep_columns(q, result), ms)
+        for cell, q, results in _cells(config, net, config.solvers)
+        for solver, (result, ms) in zip(config.solvers, results)
+    ]
     records.sort(key=lambda r: (r.k, r.D, r.seed, r.solver))
     return records
-
-
-# ---------------------------------------------------------------------------
-# bench
-# ---------------------------------------------------------------------------
 
 
 def compare_solvers(
@@ -280,54 +287,25 @@ def compare_solvers(
     (and no plain heuristic); the ratio column is blank unless both the exact
     optimum exists and the heuristic route is feasible.
     """
-    if net is None:
-        net = load_network(config.dataset, config.coords)
     guard = config.per_category ** max(config.k_values)
     if guard > BENCH_COMBINATION_GUARD:
         raise CapacityError(
             f"bench instance would enumerate {guard} combinations "
             f"(> {BENCH_COMBINATION_GUARD}); reduce per_category or k"
         )
-    oracle = build_oracle(net)
-    index = (
-        "euclidean"
-        if "heuristic-indexed" in config.solvers and "heuristic" not in config.solvers
-        else None
-    )
+    indexed = "heuristic-indexed" in config.solvers and "heuristic" not in config.solvers
     records = []
-    for k, seed, query, thresholds in _instances(config, net, oracle):
-        for D in thresholds:
-            q = query.with_threshold(float(D))
-            start = time.perf_counter()
-            exact_out = solve_exact(q, oracle)
-            exact_ms = (time.perf_counter() - start) * 1e3
-            start = time.perf_counter()
-            heur = solve_heuristic(q, oracle, index=index)
-            heur_ms = (time.perf_counter() - start) * 1e3
-            exact_agg = (
-                exact_out.optimal.aggregated if exact_out.optimal is not None else None
+    for cell, _, [(exact, exact_ms), (heur, heur_ms)] in _cells(
+        config, net, ("exact", "heuristic-indexed" if indexed else "heuristic")
+    ):
+        exact_agg = exact.optimal.aggregated if exact.optimal is not None else None
+        route = heur.route
+        ratio = route.aggregated / exact_agg if exact_agg is not None and route.feasible else None
+        records.append(
+            BenchRecord(
+                *cell, exact_agg, route.aggregated, route.feasible, ratio, exact_ms, heur_ms
             )
-            route = heur.route
-            ratio = (
-                route.aggregated / exact_agg
-                if exact_agg is not None and route.feasible
-                else None
-            )
-            records.append(
-                BenchRecord(
-                    dataset=config.dataset,
-                    k=k,
-                    b=config.b,
-                    D=float(D),
-                    seed=seed,
-                    exact_aggregated=exact_agg,
-                    heuristic_aggregated=route.aggregated,
-                    heuristic_feasible=route.feasible,
-                    ratio=ratio,
-                    exact_time_ms=exact_ms,
-                    heuristic_time_ms=heur_ms,
-                )
-            )
+        )
     records.sort(key=lambda r: (r.k, r.D, r.seed))
     return records
 

@@ -3,7 +3,9 @@
 import json
 from pathlib import Path
 
-from efgtp import bench_from_csv, records_from_csv
+import pytest
+
+from efgtp import bench_from_csv, europe_like, format_edge_list, records_from_csv
 from efgtp.cli import main
 
 DATA = Path(__file__).resolve().parent.parent / "data"
@@ -90,6 +92,42 @@ class TestSolveExact:
         assert code == 0
         assert out.splitlines() == OPTIMAL_LINES
         assert target.read_text() == DEBUG_MATRIX
+
+    def test_refused_debug_matrix_leaves_file_untouched(self, capsys, tmp_path):
+        # 101 ** 3 = 1,030,301 combinations: over the debug matrix's 1e6 cap
+        net = europe_like()
+        g = tmp_path / "g.txt"
+        g.write_text(format_edge_list(net))
+        ids = net.external_ids
+        q = tmp_path / "q.json"
+        q.write_text(
+            json.dumps(
+                {
+                    "sources": [ids[0]],
+                    "destinations": [ids[1]],
+                    "categories": [ids[2 + 101 * i : 2 + 101 * (i + 1)] for i in range(3)],
+                    "D": 1.0,
+                }
+            )
+        )
+        target = tmp_path / "matrix.csv"
+        target.write_bytes(b"keep,these\nbytes\n")
+        code, out, err = run(
+            capsys,
+            "solve-exact", "--graph", str(g), "--query", str(q),
+            "--debug-matrix", str(target),
+        )
+        assert code == 3
+        assert "debug matrix" in err and out == ""
+        assert target.read_bytes() == b"keep,these\nbytes\n"
+        missing = tmp_path / "absent.csv"
+        code, _, _ = run(
+            capsys,
+            "solve-exact", "--graph", str(g), "--query", str(q),
+            "--debug-matrix", str(missing),
+        )
+        assert code == 3
+        assert not missing.exists()
 
 
 class TestSolveHeuristic:
@@ -218,6 +256,65 @@ class TestExitCodes:
         code, _, err = run(capsys, "solve-exact", "--graph", GRAPH, "--query", str(q))
         assert code == 2
         assert "99" in err
+
+    @pytest.mark.parametrize(
+        "override, key",
+        [
+            ({"sources": 5}, "sources"),
+            ({"D": None}, "D"),
+            ({"sources": "08"}, "sources"),  # a string is not a list of ids
+            ({"categories": ["16", ["9"]]}, "categories"),
+            ({"D": "4"}, "D"),
+        ],
+        ids=["sources-number", "D-null", "sources-string", "categories-string", "D-string"],
+    )
+    def test_malformed_query_value(self, capsys, tmp_path, override, key):
+        doc = json.loads(Path(QUERY).read_text())
+        doc.update(override)
+        q = tmp_path / "q.json"
+        q.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "solve-exact", "--graph", GRAPH, "--query", str(q))
+        assert code == 2
+        assert f"error: query {key!r} must be" in err and out == ""
+
+    @pytest.mark.parametrize(
+        "override, key",
+        [
+            ({"k_values": 2}, "k_values"),
+            ({"per_category": "2"}, "per_category"),
+            ({"d_quantiles": None, "d_values": [1.0, None]}, "d_values"),
+            ({"seeds": "12"}, "seeds"),
+            ({"b": 2.5}, "b"),
+            ({"solvers": "exact"}, "solvers"),
+        ],
+        ids=[
+            "k_values-number", "per_category-string", "d_values-null-item",
+            "seeds-string", "b-fraction", "solvers-string",
+        ],
+    )
+    def test_malformed_config_value(self, capsys, tmp_path, override, key):
+        cfg = write_config(tmp_path, **override)
+        for command in ("sweep", "bench"):
+            out_path = tmp_path / f"{command}.csv"
+            code, out, err = run(capsys, command, "--config", cfg, "--out", str(out_path))
+            assert code == 2
+            assert f"error: config key {key!r} must be" in err and out == ""
+            assert not out_path.exists()
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("[]", "must hold a JSON object"),
+            (json.dumps({"dataset": GRAPH}), "missing config keys"),
+        ],
+        ids=["top-level-list", "missing-keys"],
+    )
+    def test_malformed_config_document(self, capsys, tmp_path, text, message):
+        cfg = tmp_path / "config.json"
+        cfg.write_text(text)
+        code, _, err = run(capsys, "sweep", "--config", str(cfg), "--out", str(tmp_path / "o.csv"))
+        assert code == 2
+        assert message in err
 
     def test_bad_config_value(self, capsys, tmp_path):
         cfg = write_config(tmp_path, per_category=0)

@@ -10,6 +10,7 @@ import math
 import numpy as np
 import pytest
 
+import efgtp.exact
 from efgtp import (
     FULL,
     ON_DEMAND,
@@ -494,10 +495,11 @@ class TestDebugMatrix:
             solve_exact(q, oracle, debug_matrix=io.StringIO())
 
 
-def test_progress_logging(path_oracle, caplog):
+def test_progress_logging(path_oracle, caplog, monkeypatch):
+    monkeypatch.setattr(efgtp.exact, "PROGRESS_EVERY", 2)
     q = query([0, 4], [4, 0], [(1, 2), (3, 4)], 4.0)
     with caplog.at_level(logging.INFO, logger="efgtp.exact"):
-        solve_exact(q, path_oracle, faithful=True, progress_every=2)
+        solve_exact(q, path_oracle, faithful=True)
     messages = [r.message for r in caplog.records]
     assert "evaluated 2/4 combinations" in messages
     assert "evaluated 4/4 combinations" in messages

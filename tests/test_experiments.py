@@ -25,6 +25,7 @@ from efgtp import (
     run_sweep,
     threshold_quantiles,
 )
+from efgtp.experiments import SOLVERS
 
 from support import random_network
 
@@ -292,6 +293,38 @@ class TestCompareSolvers:
         keys = [(r.k, r.D, r.seed) for r in records]
         assert keys == sorted(keys)
         assert len(records) == 2 * 2 * 3
+
+    def test_agrees_with_sweep_cell_by_cell(self):
+        # europe_like has coordinates, and its indexed and plain heuristic
+        # routes differ on some cells, so a wrong pick cannot pass unseen
+        net = europe_like()
+        base = config(
+            k_values=(2, 3), per_category=6, b=3, seeds=(1, 2),
+            d_values=None, d_quantiles=(0.0, 0.3, 1.0),
+        )
+        sweep = {
+            (r.k, r.seed, r.D, r.solver): r
+            for r in run_sweep(dataclasses.replace(base, solvers=SOLVERS), net=net)
+        }
+        plain = [sweep[key] for key in sweep if key[3] == "heuristic"]
+        indexed = [sweep[key] for key in sweep if key[3] == "heuristic-indexed"]
+        assert [r.optimal_aggregated for r in plain] != [r.optimal_aggregated for r in indexed]
+        for solvers, picked in (
+            (("exact", "heuristic"), "heuristic"),
+            (("exact", "heuristic-indexed"), "heuristic-indexed"),
+            (("exact", "heuristic", "heuristic-indexed"), "heuristic"),
+        ):
+            records = compare_solvers(dataclasses.replace(base, solvers=solvers), net=net)
+            assert len(records) == 2 * 2 * 3
+            for r in records:
+                exact = sweep[r.k, r.seed, r.D, "exact"]
+                heur = sweep[r.k, r.seed, r.D, picked]
+                assert r.exact_aggregated == exact.optimal_aggregated
+                assert r.heuristic_feasible == (heur.feasible_count == 1)
+                if r.heuristic_feasible:
+                    assert r.heuristic_aggregated == heur.optimal_aggregated
+                else:
+                    assert r.heuristic_aggregated is not None and heur.optimal_aggregated is None
 
     def test_combination_guard(self, net25):
         cfg = config(per_category=100, k_values=(4,))
