@@ -70,6 +70,10 @@ class SweepConfig:
             raise ValueError("k values must be positive")
         if not self.seeds:
             raise ValueError("at least one seed is required")
+        if any(seed < 0 for seed in self.seeds):
+            raise ValueError("config key 'seeds' must hold nonnegative integers")
+        if self.d_values is not None and not all(d >= 0 for d in self.d_values):
+            raise ValueError("config key 'd_values' must hold nonnegative numbers")
         unknown = set(self.solvers) - set(SOLVERS)
         if not self.solvers or unknown:
             raise ValueError(f"solvers must be a nonempty subset of {SOLVERS}")

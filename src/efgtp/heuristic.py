@@ -113,6 +113,8 @@ def solve_heuristic(
         def nn(point, cat):
             return _category_tree(oracle, cat).nn(coords[point, 0], coords[point, 1])
     else:
+        oracle.prefetch(sources + destinations)  # every member row in one Dijkstra call
+
         def gnn(points, cat):
             return group_nearest_neighbor(points, cat, oracle)
 

@@ -25,7 +25,8 @@ class RoadNetwork:
     edges hold (u, v, w) with u < v, no self-loops, no parallel edges.
     external_ids[i] is the original dataset token for internal id i.
     coords, when present, is an (n, 2) float64 array of planar positions.
-    csgraph is the symmetric CSR adjacency, built from the edges on first use.
+    csgraph is the symmetric CSR adjacency, built from the edges on first use;
+    component_labels stores its result beside it on first use.
     """
 
     vertex_count: int
@@ -34,6 +35,7 @@ class RoadNetwork:
     coords: Optional[np.ndarray] = None
     _ext_index: dict[str, int] = field(init=False, repr=False)
     _csgraph: Optional[csr_matrix] = field(init=False, repr=False, default=None)
+    _components: Optional[tuple[np.ndarray, int]] = field(init=False, repr=False, default=None)
 
     def __post_init__(self):
         n = self.vertex_count
@@ -137,10 +139,11 @@ class CategoryAssignment:
         return math.prod(self.sizes())
 
     def validate_against(self, net: RoadNetwork) -> None:
+        n = net.vertex_count
         for cat in self.categories:
-            for v in cat:
-                if v >= net.vertex_count:
-                    raise ValueError(f"category vertex {v} not in network")
+            if max(cat) >= n:
+                bad = next(v for v in cat if v >= n)  # the first offender
+                raise ValueError(f"category vertex {bad} not in network")
 
 
 @dataclass(frozen=True)
@@ -161,8 +164,12 @@ class GroupSpec:
         return len(self.sources)
 
     def validate_against(self, net: RoadNetwork) -> None:
-        for v in self.sources + self.destinations:
-            if not (0 <= v < net.vertex_count):
+        n = net.vertex_count
+        members = self.sources + self.destinations
+        if 0 <= min(members) and max(members) < n:
+            return
+        for v in members:  # name the first offender
+            if not (0 <= v < n):
                 raise ValueError(f"group vertex {v} not in network")
 
 
@@ -326,16 +333,20 @@ def with_euclidean_weights(net: RoadNetwork) -> RoadNetwork:
 
 
 def component_labels(net: RoadNetwork) -> tuple[np.ndarray, int]:
-    """Label connected components; labels follow smallest-contained-id order."""
-    count, labels = connected_components(net.csgraph, directed=False)
-    return labels.astype(np.int64), int(count)
+    """Label connected components; labels follow smallest-contained-id order.
+
+    Computed once per network and stored on it; the labels are read-only.
+    """
+    if net._components is None:
+        count, labels = connected_components(net.csgraph, directed=False)
+        labels = labels.astype(np.int64)
+        labels.setflags(write=False)
+        net._components = (labels, int(count))
+    return net._components
 
 
 def is_connected(net: RoadNetwork) -> bool:
-    if net.vertex_count == 0:
-        return False
-    _, count = component_labels(net)
-    return count == 1
+    return net.vertex_count > 0 and component_labels(net)[1] == 1
 
 
 def largest_connected_component(net: RoadNetwork) -> RoadNetwork:

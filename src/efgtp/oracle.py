@@ -58,8 +58,10 @@ class DistanceOracle:
 
     def _memoize(self, sources: list[int]) -> None:
         """Compute and memoize the rows of distinct sources in one Dijkstra
-        call; each row is bitwise equal to a single-source call's."""
-        batch = _dijkstra(self.net.csgraph, directed=False, indices=sources)
+        call; each row is bitwise equal to a single-source call's. The CSR
+        holds both directions of every edge, so a directed search is the
+        undirected one without scipy's per-call transpose."""
+        batch = _dijkstra(self.net.csgraph, directed=True, indices=sources)
         batch.setflags(write=False)
         with self._lock:
             for s, row in zip(sources, batch):
@@ -121,7 +123,8 @@ def build_oracle(
 ) -> DistanceOracle:
     """Construct an oracle; full mode computes every row up front.
 
-    An empty or disconnected network raises ValueError. Full mode refuses
+    An empty or disconnected network raises ValueError (connectivity is
+    computed once per network and stored on it). Full mode refuses
     to allocate beyond max_bytes and reports the required size.
     """
     if mode not in (FULL, ON_DEMAND):
@@ -139,7 +142,7 @@ def build_oracle(
             f"full distance matrix needs {needed} bytes "
             f"({n}x{n} float64), limit is {max_bytes}"
         )
-    return DistanceOracle(net, _dijkstra(net.csgraph, directed=False))
+    return DistanceOracle(net, _dijkstra(net.csgraph, directed=True))
 
 
 def load_matrix(path: str, net: RoadNetwork) -> DistanceOracle:

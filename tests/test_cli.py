@@ -302,6 +302,26 @@ class TestExitCodes:
             assert not out_path.exists()
 
     @pytest.mark.parametrize(
+        "override, key",
+        [
+            ({"seeds": [-1]}, "seeds"),
+            ({"d_quantiles": None, "d_values": [-1.0]}, "d_values"),
+            ({"d_quantiles": None, "d_values": [float("nan")]}, "d_values"),
+        ],
+        ids=["seeds-negative", "d_values-negative", "d_values-nan"],
+    )
+    def test_out_of_range_config_value(self, capsys, tmp_path, override, key):
+        # the dataset does not exist, so naming the key shows the config was
+        # refused before any load
+        cfg = write_config(tmp_path, dataset=str(tmp_path / "absent.txt"), **override)
+        for command in ("sweep", "bench"):
+            out_path = tmp_path / f"{command}.csv"
+            code, out, err = run(capsys, command, "--config", cfg, "--out", str(out_path))
+            assert code == 2
+            assert f"error: config key {key!r} must hold nonnegative" in err and out == ""
+            assert not out_path.exists()
+
+    @pytest.mark.parametrize(
         "text, message",
         [
             ("[]", "must hold a JSON object"),

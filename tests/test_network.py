@@ -231,6 +231,22 @@ class TestCategories:
             GroupSpec(sources=(), destinations=())
         assert GroupSpec((0, 1), (2, 3)).b == 2
 
+    def test_validate_against_names_the_first_offender(self):
+        net = path_network(6)
+        CategoryAssignment(((0, 5), (3,))).validate_against(net)
+        # the offenders sit in a later category, in scan order 9 then 7
+        cats = CategoryAssignment(((0, 1), (2, 9, 3), (7,)))
+        with pytest.raises(ValueError, match=r"^category vertex 9 not in network$"):
+            cats.validate_against(net)
+        GroupSpec((0, 5), (1, 2)).validate_against(net)
+        for group, bad in (
+            (GroupSpec((0, 1), (2, 6)), 6),
+            (GroupSpec((0, 1), (-1, 8)), -1),
+            (GroupSpec((0, 8), (-1, 2)), 8),
+        ):
+            with pytest.raises(ValueError, match=rf"^group vertex {bad} not in network$"):
+                group.validate_against(net)
+
     def test_assign_categories_deterministic_and_disjoint(self):
         rng = np.random.default_rng(3)
         net = random_network(rng, 40)

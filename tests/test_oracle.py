@@ -1,9 +1,11 @@
 """Distance oracle vs an independent all-pairs reference, plus cache I/O."""
 
+import math
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+from scipy.sparse.csgraph import dijkstra
 
 import efgtp.network
 import efgtp.oracle
@@ -12,12 +14,20 @@ from efgtp import (
     ON_DEMAND,
     CapacityError,
     RoadNetwork,
+    assign_categories,
     build_oracle,
+    component_labels,
     europe_like,
+    format_edge_list,
+    generate_query,
     is_connected,
     largest_connected_component,
     load_matrix,
+    load_network,
+    min_additional_distance,
     parse_edge_list,
+    solve_exact,
+    solve_heuristic,
 )
 
 from support import floyd_warshall, random_network
@@ -311,3 +321,133 @@ class TestRows:
                 with pytest.raises(ValueError):
                     oracle.row(s)[0] = 5.0
             assert oracle.row(3)[0] == oracle.dist(3, 0)
+
+
+def test_rows_bitwise_equal_to_undirected_dijkstra():
+    """The oracle searches the stored symmetric CSR as a directed graph;
+    every row must equal scipy's undirected search to the bit."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    weights = {
+        "integer": st.integers(1, 4).map(float),  # many exact ties
+        "float": st.floats(0.1, 10.0),
+        "mixed": st.floats(1e-3, 1e3),  # sums that round at several magnitudes
+    }
+
+    @st.composite
+    def cases(draw):
+        weight = weights[draw(st.sampled_from(sorted(weights)))]
+        n = draw(st.integers(2, 14))
+        edges = {(draw(st.integers(0, v - 1)), v): draw(weight) for v in range(1, n)}
+        for _ in range(draw(st.integers(0, 2 * n))):
+            u, v = sorted(draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True)))
+            edges.setdefault((u, v), draw(weight))
+        net = RoadNetwork(
+            vertex_count=n,
+            edges=tuple((u, v, w) for (u, v), w in sorted(edges.items())),
+            external_ids=tuple(str(i) for i in range(n)),
+        )
+        return net, draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n + 2))
+
+    def bits(a):
+        return np.ascontiguousarray(a).view(np.int64)
+
+    @hypothesis.given(cases())
+    def check(case):
+        net, sources = case
+        ref = dijkstra(net.csgraph, directed=False)
+        assert np.array_equal(bits(build_oracle(net, FULL).matrix), bits(ref))
+        assert np.array_equal(bits(build_oracle(net).rows(sources)), bits(ref[sources]))
+        single = build_oracle(net)
+        for s in sources:
+            assert np.array_equal(bits(single.rows([s])[0]), bits(ref[s]))
+
+    check()
+
+
+@pytest.fixture
+def dijkstra_calls(monkeypatch):
+    """The number of rows of each scipy Dijkstra call, in call order."""
+    calls = []
+    search = efgtp.oracle._dijkstra
+
+    def counted(graph, **kw):
+        out = search(graph, **kw)
+        calls.append(len(out))
+        return out
+
+    monkeypatch.setattr(efgtp.oracle, "_dijkstra", counted)
+    return calls
+
+
+class TestColdBudget:
+    """Dijkstra calls and rows of each operation on a fresh on-demand
+    oracle, with b members whose 2b endpoints are distinct."""
+
+    def query(self, net, k, b, D):
+        cats = assign_categories(net, k, 10, seed=400 + k)
+        q = generate_query(net, b, cats, D=D, seed=410 + k * b)
+        assert len(set(q.group.sources + q.group.destinations)) == 2 * b
+        return q
+
+    @pytest.mark.parametrize("b", [1, 4])
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_network_heuristic(self, europe, dijkstra_calls, k, b):
+        q = self.query(europe, k, b, math.inf)
+        solve_heuristic(q, build_oracle(europe))
+        # one call for every member row, then one per chain row the NN
+        # picks and the route's legs read (the last POI's row is not read)
+        assert dijkstra_calls[0] == 2 * b
+        if k == 1:
+            assert dijkstra_calls == [2 * b]
+        else:
+            assert len(dijkstra_calls) == k and sum(dijkstra_calls) == 2 * b + k - 1
+
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_euclidean_heuristic(self, europe, dijkstra_calls, k):
+        solve_heuristic(self.query(europe, k, 4, math.inf), build_oracle(europe), index="euclidean")
+        assert len(dijkstra_calls) == 1  # evaluate_route's one prefetch
+
+    def test_infeasible_exact_and_mad(self, europe, dijkstra_calls):
+        q = self.query(europe, 3, 4, 0.0)
+        oracle = build_oracle(europe)
+        assert not solve_exact(q, oracle).feasible
+        assert dijkstra_calls == [8]  # the member rows; no pair is feasible
+        min_additional_distance(q, oracle)
+        assert dijkstra_calls == [8]  # MAD reads the same member rows
+
+    def test_feasible_exact(self, europe, dijkstra_calls):
+        assert solve_exact(self.query(europe, 3, 4, math.inf), build_oracle(europe)).feasible
+        assert len(dijkstra_calls) == 2 and dijkstra_calls[0] == 8  # members, then chain
+
+
+class TestConnectivityOnce:
+    @pytest.fixture
+    def labelled(self, monkeypatch):
+        calls = []
+        label = efgtp.network.connected_components
+        monkeypatch.setattr(
+            efgtp.network, "connected_components", lambda *a, **kw: calls.append(1) or label(*a, **kw)
+        )
+        return calls
+
+    def test_load_then_two_builds(self, europe, labelled, tmp_path):
+        graph = tmp_path / "graph.txt"
+        graph.write_text(format_edge_list(europe))
+        net = load_network(str(graph))
+        build_oracle(net)
+        build_oracle(net, FULL)
+        assert labelled == [1]
+
+    def test_derived_networks_label_their_own(self, labelled):
+        split = parse_edge_list("a b 1\nb c 2\nx y 1\n")
+        labels, count = component_labels(split)
+        assert count == 2 and component_labels(split)[0] is labels
+        with pytest.raises(ValueError):
+            labels[0] = 1
+        lcc = largest_connected_component(split)
+        assert labelled == [1]
+        assert is_connected(lcc) and labelled == [1, 1]
+        moved = lcc.with_coords(np.zeros((3, 2)))
+        assert is_connected(moved) and labelled == [1, 1, 1]
+        assert is_connected(moved) and is_connected(lcc) and labelled == [1, 1, 1]
