@@ -54,8 +54,8 @@ class RoadNetwork:
             if (u, v) in seen_pairs:
                 raise ValueError(f"parallel edge ({u}, {v})")
             seen_pairs.add((u, v))
-            if not (w > 0.0) or not math.isfinite(w):
-                raise ValueError(f"edge ({u}, {v}) has nonpositive weight {w}")
+            if not (0.0 < w < math.inf):
+                raise ValueError(f"edge ({u}, {v}) weight must be positive and finite, got {w}")
         if self.coords is not None:
             coords = np.asarray(self.coords, dtype=np.float64)
             if coords.shape != (n, 2):
@@ -117,6 +117,8 @@ class CategoryAssignment:
     categories: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
+        if not self.categories:
+            raise ValueError("categories must hold at least one category")
         seen: set[int] = set()
         for i, cat in enumerate(self.categories):
             if not cat:
@@ -223,8 +225,10 @@ def parse_edge_list(text: str, weighted: bool = True) -> RoadNetwork:
                 raise ValueError(
                     f"line {lineno}: malformed weight {parts[2]!r}"
                 ) from None
-            if not math.isfinite(w) or w <= 0.0:
-                raise ValueError(f"line {lineno}: nonpositive weight {parts[2]}")
+            if not (0.0 < w < math.inf):
+                raise ValueError(
+                    f"line {lineno}: weight must be positive and finite, got {parts[2]}"
+                )
         else:
             w = 1.0
         u, v = intern(u_tok), intern(v_tok)
@@ -270,10 +274,12 @@ def parse_coords(text: str, net: RoadNetwork) -> np.ndarray:
         if i is None:
             continue
         try:
-            coords[i, 0] = float(parts[1])
-            coords[i, 1] = float(parts[2])
+            x, y = float(parts[1]), float(parts[2])
         except ValueError:
             raise ValueError(f"line {lineno}: malformed coordinates {line!r}") from None
+        if not (math.isfinite(x) and math.isfinite(y)):
+            raise ValueError(f"line {lineno}: coordinates must be finite, got {line!r}")
+        coords[i] = x, y
     missing = np.flatnonzero(np.isnan(coords[:, 0]))
     if missing.size:
         first = net.external_ids[int(missing[0])]

@@ -277,6 +277,16 @@ class TestExitCodes:
         assert code == 2
         assert f"error: query {key!r} must be" in err and out == ""
 
+    def test_query_without_categories(self, capsys, tmp_path):
+        doc = json.loads(Path(QUERY).read_text())
+        doc["categories"] = []
+        q = tmp_path / "q.json"
+        q.write_text(json.dumps(doc))
+        for command in ("solve-exact", "solve-heuristic"):
+            code, out, err = run(capsys, command, "--graph", GRAPH, "--query", str(q))
+            assert code == 2
+            assert "error: categories must hold at least one category" in err and out == ""
+
     @pytest.mark.parametrize(
         "override, key",
         [

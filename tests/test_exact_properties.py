@@ -2,7 +2,9 @@
 
 The fast pair scan, the faithful scan and the literal brute force in
 support.py must agree bit for bit on every SolveOutcome field, and the MAD
-tuple must match the solve (or MAD must raise on a feasible query).
+tuple must match the solve (or MAD must raise on a feasible query). A
+debug-matrix solve must return the same outcome, and each of its CSV rows
+must carry evaluate_route's numbers for that combination to the bit.
 
 Brute force takes the envy gap as the largest pairwise difference of whole
 trips over Floyd-Warshall distances. That equals the library's end-leg gap
@@ -13,12 +15,14 @@ D = inf, where the envy bound drops out, brute force over the oracle's own
 matrix must find the same optimum to the bit.
 """
 
+import csv
+import io
 import math
 
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import assume, given  # noqa: E402
+from hypothesis import assume, example, given  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from efgtp import (  # noqa: E402
@@ -29,6 +33,7 @@ from efgtp import (  # noqa: E402
     GroupSpec,
     RoadNetwork,
     build_oracle,
+    evaluate_route,
     gap_distribution,
     min_additional_distance,
     solve_exact,
@@ -84,6 +89,39 @@ def instances(draw):
     return kind, net, query, draw(st.sampled_from(THRESHOLDS))
 
 
+# fixed values of each weight kind for the explicit examples below
+EXAMPLE_WEIGHTS = {
+    "integer": INTEGER_WEIGHTS,
+    "tied": (1.0, 2.0),
+    "dyadic": (0.125, 1.375, 15.875, 3.5),
+    "float": (0.1, 3.7, 9.93, 1.01, 6.283),
+    "float-tied": (0.1, 0.2, 0.3),
+}
+
+
+def every_kind_and_k(test):
+    """Add one explicit example per weight kind and k = 1..4, so each pair
+    is checked whatever the profile draws: a path with a chord from every
+    even vertex, b = 2, two POIs per category and the threshold rules in
+    turn."""
+    for kind, values in EXAMPLE_WEIGHTS.items():
+        for k in range(1, 5):
+            n = 2 * k + 3
+            pairs = sorted({(v, v + 1) for v in range(n - 1)} | {(v, v + 2) for v in range(0, n - 2, 2)})
+            net = RoadNetwork(
+                vertex_count=n,
+                edges=tuple((u, v, values[i % len(values)]) for i, (u, v) in enumerate(pairs)),
+                external_ids=tuple(str(i) for i in range(n)),
+            )
+            query = EfGtpQuery(
+                group=GroupSpec(sources=(0, n - 1), destinations=(n - 1, 0)),
+                categories=CategoryAssignment(tuple((2 * i + 1, 2 * i + 2) for i in range(k))),
+                envy_threshold=0.0,
+            )
+            test = example((kind, net, query, THRESHOLDS[k % 3]))(test)
+    return test
+
+
 def brute_route(brute) -> EvaluatedRoute:
     return EvaluatedRoute(
         combination=brute.best_combo,
@@ -95,6 +133,7 @@ def brute_route(brute) -> EvaluatedRoute:
 
 
 @given(instances())
+@every_kind_and_k
 def test_fast_faithful_and_brute_force_agree(instance):
     kind, net, q, rule = instance
     gaps = gap_distribution(q, build_oracle(net))
@@ -104,6 +143,18 @@ def test_fast_faithful_and_brute_force_agree(instance):
     assert repr(solve_exact(q, build_oracle(net), faithful=True)) == repr(fast)
     assert repr(solve_exact(q, build_oracle(net, FULL))) == repr(fast)
     assert fast.feasible or rule == "zero"
+
+    # the debug matrix's rows are evaluate_route's numbers, to the bit
+    stream = io.StringIO()
+    assert repr(solve_exact(q, build_oracle(net), debug_matrix=stream)) == repr(fast)
+    rows = list(csv.DictReader(io.StringIO(stream.getvalue())))
+    assert len(rows) == q.categories.combination_count()
+    oracle = build_oracle(net)
+    for row in rows:
+        route = evaluate_route(q, [int(row[f"v{i + 1}"]) for i in range(q.k)], oracle)
+        assert row["aggregated"] == repr(route.aggregated)
+        assert row["max_gap"] == repr(route.max_gap)
+        assert row["feasible"] == str(int(route.feasible))
 
     try:
         mad = min_additional_distance(q, build_oracle(net))

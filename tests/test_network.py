@@ -1,5 +1,7 @@
 """Edge-list parsing, graph types, components, and category plumbing."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -70,8 +72,9 @@ class TestParseEdgeList:
             parse_edge_list("a b heavy\n")
 
     def test_weight_validation(self):
-        for bad in ("0", "-1", "nan", "inf"):
-            with pytest.raises(ValueError):
+        for bad in ("0", "-1", "nan", "inf", "-inf"):
+            msg = f"line 1: weight must be positive and finite, got {bad}"
+            with pytest.raises(ValueError, match=msg):
                 parse_edge_list(f"a b {bad}\n")
 
     def test_self_loops_dropped(self):
@@ -129,8 +132,10 @@ class TestRoadNetworkValidation:
             RoadNetwork(2, ((0, 1, 1.0), (0, 1, 2.0)), ("a", "b"))
 
     def test_bad_weight(self):
-        with pytest.raises(ValueError, match="weight"):
-            RoadNetwork(2, ((0, 1, -3.0),), ("a", "b"))
+        for bad in (-3.0, 0.0, math.inf, math.nan):
+            msg = f"weight must be positive and finite, got {bad}"
+            with pytest.raises(ValueError, match=msg):
+                RoadNetwork(2, ((0, 1, bad),), ("a", "b"))
 
     def test_duplicate_external_ids(self):
         with pytest.raises(ValueError, match="distinct"):
@@ -183,6 +188,9 @@ class TestCoords:
             parse_coords("0 only\n1 1 1\n", net)
         with pytest.raises(ValueError, match="malformed"):
             parse_coords("0 x y\n1 1 1\n", net)
+        for x, y in (("nan", "1"), ("1", "nan"), ("inf", "0"), ("0", "-inf")):
+            with pytest.raises(ValueError, match="line 2: coordinates must be finite"):
+                parse_coords(f"0 0 0\n1 {x} {y}\n", net)
 
     def test_euclidean_weights(self):
         net = path_network(3).with_coords(np.array([[0.0, 0.0], [3.0, 4.0], [3.0, 5.0]]))
@@ -202,6 +210,8 @@ class TestCoords:
 
 class TestCategories:
     def test_assignment_invariants(self):
+        with pytest.raises(ValueError, match="at least one category"):
+            CategoryAssignment(())
         with pytest.raises(ValueError, match="empty"):
             CategoryAssignment(((0, 1), ()))
         with pytest.raises(ValueError, match="more than one"):
