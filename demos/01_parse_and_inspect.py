@@ -13,8 +13,9 @@ def main():
     print(f"edges:    {net.edge_count}")
     print(f"labels:   {' '.join(net.external_ids)}")
 
-    print("\nadjacency of vertex 5 (grid center):")
-    for v, w in net.adjacency()[5]:
+    print("\nneighbors of vertex 5 (grid center):")
+    row = net.csgraph[5]
+    for v, w in zip(row.indices, row.data):
         print(f"  5 -> {net.external_ids[v]}  weight {w}")
 
     # single-source distances fan out along the cheap horizontal edges first

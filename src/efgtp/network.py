@@ -1,13 +1,16 @@
 """Road-network datasets: parsing, validation, and category labeling.
 
 Networks are undirected weighted graphs with dense 0-based vertex ids.
-Internal ids are assigned in first-appearance order over the edge
-sequence, which keeps parse -> serialize -> parse an exact round trip.
+The edge-list parser and the component filter both build their networks
+through one pass, `_densify`: ids in first-appearance order over the edge
+sequence, each pair once as u < v with its minimum weight. That keeps
+parse -> serialize -> parse an exact round trip.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Hashable, Iterable, Iterator
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
@@ -24,7 +27,7 @@ class RoadNetwork:
 
     edges hold (u, v, w) with u < v, no self-loops, no parallel edges.
     external_ids[i] is the original dataset token for internal id i.
-    coords, when present, is an (n, 2) float64 array of planar positions.
+    coords, when present, is an (n, 2) float64 array of finite planar positions.
     csgraph is the symmetric CSR adjacency, built from the edges on first use;
     component_labels stores its result beside it on first use.
     """
@@ -60,6 +63,12 @@ class RoadNetwork:
             coords = np.asarray(self.coords, dtype=np.float64)
             if coords.shape != (n, 2):
                 raise ValueError(f"coords must have shape ({n}, 2), got {coords.shape}")
+            bad = np.flatnonzero(~np.isfinite(coords).all(axis=1))
+            if bad.size:
+                i = int(bad[0])
+                x, y = coords[i].tolist()  # plain floats in the message
+                ext = self.external_ids[i]
+                raise ValueError(f"vertex {ext}: coordinates must be finite, got ({x}, {y})")
             self.coords = coords
         self._ext_index = {ext: i for i, ext in enumerate(self.external_ids)}
         if len(self._ext_index) != n:
@@ -84,13 +93,6 @@ class RoadNetwork:
             return self._ext_index[str(external_id)]
         except KeyError:
             raise KeyError(f"unknown vertex id {external_id!r}") from None
-
-    def adjacency(self) -> list[list[tuple[int, float]]]:
-        adj: list[list[tuple[int, float]]] = [[] for _ in range(self.vertex_count)]
-        for u, v, w in self.edges:
-            adj[u].append((v, w))
-            adj[v].append((u, w))
-        return adj
 
     def with_coords(self, coords: np.ndarray) -> "RoadNetwork":
         return replace(self, coords=coords)
@@ -175,29 +177,33 @@ class GroupSpec:
                 raise ValueError(f"group vertex {v} not in network")
 
 
-def parse_edge_list(text: str, weighted: bool = True) -> RoadNetwork:
-    """Parse a line-oriented edge list (`u v` or `u v w`) into a RoadNetwork.
+def _densify(
+    triples: Iterable[tuple[Hashable, Hashable, float]],
+) -> tuple[list, tuple[Edge, ...]]:
+    """Labelled edges (x, y, w) -> (labels, edges) over dense ids.
 
-    Lines starting with '%' or '#' are comments. A MatrixMarket banner makes
-    the following size line be skipped. Vertex tokens are remapped to dense
-    0-based ids in first-appearance order; parallel edges collapse to the
-    minimum weight; self-loops are dropped. With weighted=False every edge
-    gets unit weight and any third column is ignored.
+    Labels get ids in first-appearance order, x before y; labels[i] is the
+    label of id i. Each unordered pair is kept once as (u, v) with u < v,
+    at the position of its first appearance, with its minimum weight.
     """
-    ids: dict[str, int] = {}
-    ext: list[str] = []
+    ids: dict = {}
     edges: list[list] = []  # [u, v, w], mutable for the min-weight rule
-    edge_pos: dict[tuple[int, int], int] = {}
+    pos: dict[tuple[int, int], int] = {}
+    for x, y, w in triples:
+        u = ids.setdefault(x, len(ids))
+        v = ids.setdefault(y, len(ids))
+        pair = (u, v) if u < v else (v, u)
+        i = pos.setdefault(pair, len(edges))
+        if i == len(edges):
+            edges.append([*pair, w])
+        elif w < edges[i][2]:
+            edges[i][2] = w
+    return list(ids), tuple((u, v, w) for u, v, w in edges)
+
+
+def _edge_lines(text: str, weighted: bool) -> Iterator[tuple[str, str, float]]:
+    """(u_token, v_token, weight) per edge line of an edge list, self-loops skipped."""
     size_line_pending = False
-
-    def intern(token: str) -> int:
-        i = ids.get(token)
-        if i is None:
-            i = len(ext)
-            ids[token] = i
-            ext.append(token)
-        return i
-
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line:
@@ -216,36 +222,35 @@ def parse_edge_list(text: str, weighted: bool = True) -> RoadNetwork:
         u_tok, v_tok = parts[0], parts[1]
         if u_tok == v_tok:
             continue  # self-loop
-        if weighted:
-            if len(parts) < 3:
-                raise ValueError(f"line {lineno}: missing edge weight in {line!r}")
-            try:
-                w = float(parts[2])
-            except ValueError:
-                raise ValueError(
-                    f"line {lineno}: malformed weight {parts[2]!r}"
-                ) from None
-            if not (0.0 < w < math.inf):
-                raise ValueError(
-                    f"line {lineno}: weight must be positive and finite, got {parts[2]}"
-                )
-        else:
-            w = 1.0
-        u, v = intern(u_tok), intern(v_tok)
-        a, b = (u, v) if u < v else (v, u)
-        pos = edge_pos.get((a, b))
-        if pos is None:
-            edge_pos[(a, b)] = len(edges)
-            edges.append([a, b, w])
-        elif w < edges[pos][2]:
-            edges[pos][2] = w
+        if not weighted:
+            yield u_tok, v_tok, 1.0
+            continue
+        if len(parts) < 3:
+            raise ValueError(f"line {lineno}: missing edge weight in {line!r}")
+        try:
+            w = float(parts[2])
+        except ValueError:
+            raise ValueError(f"line {lineno}: malformed weight {parts[2]!r}") from None
+        if not (0.0 < w < math.inf):
+            raise ValueError(
+                f"line {lineno}: weight must be positive and finite, got {parts[2]}"
+            )
+        yield u_tok, v_tok, w
+
+
+def parse_edge_list(text: str, weighted: bool = True) -> RoadNetwork:
+    """Parse a line-oriented edge list (`u v` or `u v w`) into a RoadNetwork.
+
+    Lines starting with '%' or '#' are comments. A MatrixMarket banner makes
+    the following size line be skipped. Vertex tokens are remapped to dense
+    0-based ids in first-appearance order; parallel edges collapse to the
+    minimum weight; self-loops are dropped. With weighted=False every edge
+    gets unit weight and any third column is ignored.
+    """
+    labels, edges = _densify(_edge_lines(text, weighted))
     if not edges:
         raise ValueError("empty input: no edges found")
-    return RoadNetwork(
-        vertex_count=len(ext),
-        edges=tuple((u, v, w) for u, v, w in edges),
-        external_ids=tuple(ext),
-    )
+    return RoadNetwork(vertex_count=len(labels), edges=edges, external_ids=tuple(labels))
 
 
 def format_edge_list(net: RoadNetwork) -> str:
@@ -315,9 +320,7 @@ def parse_categories(text: str, net: RoadNetwork) -> CategoryAssignment:
         cats.append(tuple(members))
     if not cats:
         raise ValueError("empty category file")
-    assignment = CategoryAssignment(tuple(cats))
-    assignment.validate_against(net)
-    return assignment
+    return CategoryAssignment(tuple(cats))
 
 
 def with_euclidean_weights(net: RoadNetwork) -> RoadNetwork:
@@ -358,6 +361,9 @@ def is_connected(net: RoadNetwork) -> bool:
 def largest_connected_component(net: RoadNetwork) -> RoadNetwork:
     """Induced subgraph on the largest component, ids re-densified.
 
+    The kept edges go through `_densify` with their old ids as labels, the
+    same pass the parser uses, so new ids follow first appearance in the
+    edge sequence. An edgeless largest component is its single vertex.
     Ties go to the component containing the smallest original vertex id
     (the first one discovered by the scan). Already-connected networks
     are returned unchanged.
@@ -370,32 +376,15 @@ def largest_connected_component(net: RoadNetwork) -> RoadNetwork:
     sizes = np.bincount(labels, minlength=count)
     best = int(np.argmax(sizes))  # argmax keeps the first (smallest-id) winner on ties
     keep = labels == best
-
-    remap: dict[int, int] = {}
-    new_edges: list[Edge] = []
-    for u, v, w in net.edges:
-        if keep[u] and keep[v]:
-            for x in (u, v):
-                if x not in remap:
-                    remap[x] = len(remap)
-            a, b = remap[u], remap[v]
-            if a > b:
-                a, b = b, a  # remap order follows edge scan, renormalize
-            new_edges.append((a, b, w))
-    # component vertices untouched by any edge (possible only for size-1 components)
-    for old in np.flatnonzero(keep):
-        old = int(old)
-        if old not in remap:
-            remap[old] = len(remap)
-
-    order = sorted(remap, key=remap.get)
-    new_ext = tuple(net.external_ids[old] for old in order)
-    new_coords = net.coords[order] if net.coords is not None else None
+    # an edge's endpoints share a component, so testing u picks the kept edges
+    old, edges = _densify((u, v, w) for u, v, w in net.edges if keep[u])
+    if not old:
+        old = [int(np.flatnonzero(keep)[0])]
     return RoadNetwork(
-        vertex_count=len(order),
-        edges=tuple(new_edges),
-        external_ids=new_ext,
-        coords=new_coords,
+        vertex_count=len(old),
+        edges=edges,
+        external_ids=tuple(net.external_ids[i] for i in old),
+        coords=net.coords[old] if net.coords is not None else None,
     )
 
 

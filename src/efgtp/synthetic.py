@@ -36,32 +36,28 @@ def random_geometric_network(
     pts = rng.random((n, 2)) * scale
 
     pairs: list[tuple[int, int]] = []
-    used: set[tuple[int, int]] = set()
     for i in range(1, n):  # nearest predecessor keeps the tree road-like
         j = int(np.argmin(np.hypot(pts[:i, 0] - pts[i, 0], pts[:i, 1] - pts[i, 1])))
         pairs.append((j, i))
-        used.add((j, i))
 
     extras = m - (n - 1)
     if extras:
+        tree = np.array(pairs)
+        tree_keys = tree[:, 0] * n + tree[:, 1]  # pair (a, b), a < b, as the key a*n + b
         kdtree = cKDTree(pts)
         k = min(n - 1, 8)
         while True:
             _, nbrs = kdtree.query(pts, k=k + 1)  # first hit is the point itself
-            candidates = sorted(
-                {
-                    (min(i, int(j)), max(i, int(j)))
-                    for i in range(n)
-                    for j in nbrs[i]
-                    if int(j) != i
-                }
-                - used
-            )
+            i, j = np.repeat(np.arange(n), k + 1), nbrs.ravel()
+            near = i != j
+            keys = np.minimum(i, j)[near] * n + np.maximum(i, j)[near]
+            candidates = np.setdiff1d(keys, tree_keys)  # sorted, unique
             if len(candidates) >= extras or k == n - 1:
                 break
             k = min(n - 1, k * 2)  # widen the neighborhood until enough pairs
         if len(candidates) < extras:
             raise ValueError(f"cannot place {extras} extra edges on {n} vertices")
+        candidates = list(zip((candidates // n).tolist(), (candidates % n).tolist()))
         rng.shuffle(candidates)
         pairs.extend(candidates[:extras])
 

@@ -1,5 +1,6 @@
 """Edge-list parsing, graph types, components, and category plumbing."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -11,10 +12,12 @@ from efgtp import (
     RoadNetwork,
     assign_categories,
     component_labels,
+    europe_like,
     format_coords,
     format_edge_list,
     is_connected,
     largest_connected_component,
+    minnesota_like,
     parse_categories,
     parse_coords,
     parse_edge_list,
@@ -85,6 +88,9 @@ class TestParseEdgeList:
     def test_parallel_edges_keep_minimum(self):
         net = parse_edge_list("a b 5\nb a 2\na b 9\n")
         assert net.edges == ((0, 1, 2.0),)
+        # an equal-weight repeat keeps the pair at its first position
+        net = parse_edge_list("a b 3\nb c 1\nc b 1\nb a 3\n")
+        assert net.edges == ((0, 1, 3.0), (1, 2, 1.0))
 
     def test_empty_input(self):
         with pytest.raises(ValueError, match="no edges"):
@@ -144,18 +150,20 @@ class TestRoadNetworkValidation:
     def test_coords_shape(self):
         with pytest.raises(ValueError, match="shape"):
             RoadNetwork(2, ((0, 1, 1.0),), ("a", "b"), coords=np.zeros((3, 2)))
+        # non-finite values are rejected by the constructor and by with_coords alike
+        msg = r"^vertex b: coordinates must be finite, got \(nan, 1\.0\)$"
+        with pytest.raises(ValueError, match=msg):
+            RoadNetwork(2, ((0, 1, 1.0),), ("a", "b"), coords=np.array([[0, 0], [np.nan, 1]]))
+        net = path_network(3)
+        for bad, shown in ((math.inf, "inf"), (-math.inf, "-inf"), (math.nan, "nan")):
+            msg = rf"^vertex 1: coordinates must be finite, got \({shown}, 0\.0\)$"
+            with pytest.raises(ValueError, match=msg):
+                net.with_coords(np.array([[0, 0], [bad, 0], [1, 1]]))
 
     def test_unknown_external_id(self):
         net = path_network(3)
         with pytest.raises(KeyError, match="unknown vertex"):
             net.internal_id("zzz")
-
-    def test_adjacency_symmetric(self):
-        net = parse_edge_list("a b 2\nb c 3\n")
-        adj = net.adjacency()
-        assert (1, 2.0) in adj[0]
-        assert (0, 2.0) in adj[1]
-        assert (2, 3.0) in adj[1]
 
     def test_equality_includes_coords(self):
         net = path_network(3)
@@ -305,11 +313,22 @@ class TestComponents:
         assert lcc.vertex_count == 3
         assert lcc.external_ids == ("a", "b", "c")
         assert lcc.edge_count == 2
+        # the filter and the parser assign ids alike: the component equals a
+        # parse of only its own lines
+        lines = ["p q 1", "a b 2", "q r 1", "b c 3", "c d 1", "b a 1", "d a 4"]
+        lcc = largest_connected_component(parse_edge_list("\n".join(lines)))
+        kept = [line for line in lines if line[0] in "abcd"]
+        assert lcc == parse_edge_list("\n".join(kept))
+        assert lcc.external_ids == ("a", "b", "c", "d")
 
     def test_largest_component_tie_prefers_first(self):
         net = parse_edge_list("a b 1\nx y 1\n")
         lcc = largest_connected_component(net)
         assert lcc.external_ids == ("a", "b")
+        # an edgeless network: every vertex is its own component, vertex 0 wins
+        coords = np.arange(8, dtype=float).reshape(4, 2)
+        lcc = largest_connected_component(RoadNetwork(4, (), tuple("wxyz"), coords))
+        assert lcc == RoadNetwork(1, (), ("w",), coords[:1])
 
     def test_unchanged_when_connected(self):
         net = path_network(4)
@@ -354,3 +373,15 @@ class TestComponents:
             lcc = largest_connected_component(merged)
             assert is_connected(lcc)
             assert lcc.vertex_count == max(a.vertex_count, b.vertex_count)
+
+
+def test_benchmark_presets_are_pinned():
+    # a changed digest means the benchmark's input networks changed
+    digests = {
+        europe_like: "b525f34bbcff950b4b94f071c7538161d88b53470f01127a7c2c9423a229f9a2",
+        minnesota_like: "8103e93c9b56c83373c3a32d44744855e20201b3807941b063b846d2b778d5ab",
+    }
+    for make, digest in digests.items():
+        net = make()
+        text = format_edge_list(net) + format_coords(net)
+        assert hashlib.sha256(text.encode()).hexdigest() == digest, make.__name__
