@@ -1,11 +1,21 @@
 """Seeded synthetic road networks for benchmarks and demos.
 
 Vertices are uniform random points in a square; a spanning tree links
-each vertex to its nearest predecessor, and the remaining edge budget is
-spent on short proximity edges, giving planar-ish graphs whose edge
-weights are Euclidean lengths. Two presets mirror the vertex/edge counts
-of the benchmark road networks used in the experiments (1.2K/1.4K and
-2.6K/3.3K).
+each vertex i > 0 to its nearest predecessor, the j < i with the least
+``np.hypot`` distance and, among equal distances, the smallest j. The
+remaining edge budget is spent on short proximity edges, giving
+planar-ish graphs whose edge weights are Euclidean lengths. Two presets
+mirror the vertex/edge counts of the benchmark road networks used in the
+experiments (1.2K/1.4K and 2.6K/3.3K).
+
+One k-d tree serves both steps. For the spanning tree it returns each
+vertex's few nearest points; the predecessors among them are re-scored
+with ``np.hypot``. The row is kept when the farthest hit is farther than
+the best predecessor by more than the rounding gap between the tree's
+distances and ``np.hypot`` (``_MARGIN``): every point outside the hits is
+then strictly farther, so the minimum and all its ties are among the
+hits. Other rows (no predecessor among the hits, many coincident points,
+squares that overflow or underflow) scan the whole prefix instead.
 """
 
 from __future__ import annotations
@@ -13,11 +23,33 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .network import RoadNetwork
 
 DEFAULT_SCALE = 10_000.0
+# Coordinates lie in [0, scale), so below this bound every squared distance,
+# at most 2 * scale**2 = 2**1021, is finite and the k-d tree finds every pair.
+_MAX_SCALE = 2.0**510
+
+# Points the tree returns per vertex in the predecessor search, the vertex
+# itself included. On minnesota_like, 8, 12 and 16 neighbours took 13, 13
+# and 10-15 ms and left 330, 212 and 163 rows to the prefix scan.
+_PREDECESSOR_HITS = 13
+
+# Certificate margin, relative, with u = 2**-53. The tree's distance,
+# sqrt(fl(fl(dx*dx) + fl(dy*dy))), and np.hypot(dx, dy) start from the same
+# float differences, and each is within gamma_3 = 3u/(1 - 3u) of the real
+# length (a libm hypot is no less accurate than that naive formula), so they
+# differ by at most 2*gamma_3/(1 - gamma_3) < 7u while the squares are normal
+# and finite. The tree prunes cells on squared lower bounds updated with one
+# subtraction and one addition per level: at most 3u per level on squares
+# over at most 64 levels, 96u on lengths. 7u + 96u, plus u for rounding the
+# product best * (1 + _MARGIN), stays below 128u.
+_MARGIN = 128 * 2.0**-53
+# Farthest-hit length below which squares may be subnormal. When the squared
+# farthest length is 2**-968 or more, the underflow in the squares is under
+# 2**-105 of it, far inside _MARGIN.
+_MIN_CERTIFIED = 2.0**-484
 
 
 def random_geometric_network(
@@ -32,19 +64,21 @@ def random_geometric_network(
         raise ValueError(f"need at least 2 vertices, got {n}")
     if not (n - 1 <= m <= n * (n - 1) // 2):
         raise ValueError(f"edge count {m} impossible for {n} vertices")
+    if not 0 < scale <= _MAX_SCALE:
+        raise ValueError(f"scale must be positive and at most 2**510, got {scale}")
+    if not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed}")
+    from scipy.spatial import cKDTree  # here, so that importing efgtp skips scipy.spatial
+
     rng = np.random.default_rng(seed)
     pts = rng.random((n, 2)) * scale
-
-    pairs: list[tuple[int, int]] = []
-    for i in range(1, n):  # nearest predecessor keeps the tree road-like
-        j = int(np.argmin(np.hypot(pts[:i, 0] - pts[i, 0], pts[:i, 1] - pts[i, 1])))
-        pairs.append((j, i))
+    kdtree = cKDTree(pts)
+    parent = _nearest_predecessors(pts, kdtree)  # keeps the tree road-like
+    pairs = list(zip(parent[1:].tolist(), range(1, n)))
 
     extras = m - (n - 1)
     if extras:
-        tree = np.array(pairs)
-        tree_keys = tree[:, 0] * n + tree[:, 1]  # pair (a, b), a < b, as the key a*n + b
-        kdtree = cKDTree(pts)
+        tree_keys = parent[1:] * n + np.arange(1, n)  # pair (a, b), a < b, as the key a*n + b
         k = min(n - 1, 8)
         while True:
             _, nbrs = kdtree.query(pts, k=k + 1)  # first hit is the point itself
@@ -55,8 +89,6 @@ def random_geometric_network(
             if len(candidates) >= extras or k == n - 1:
                 break
             k = min(n - 1, k * 2)  # widen the neighborhood until enough pairs
-        if len(candidates) < extras:
-            raise ValueError(f"cannot place {extras} extra edges on {n} vertices")
         candidates = list(zip((candidates // n).tolist(), (candidates % n).tolist()))
         rng.shuffle(candidates)
         pairs.extend(candidates[:extras])
@@ -70,6 +102,35 @@ def random_geometric_network(
     return RoadNetwork(
         vertex_count=n, edges=edges, external_ids=external, coords=pts
     )
+
+
+def _certified_predecessors(pts: np.ndarray, tree) -> np.ndarray:
+    """Each vertex's nearest predecessor where the tree's hits certify it, else -1."""
+    n = len(pts)
+    k, rows = min(n, _PREDECESSOR_HITS), np.arange(n)
+    dist, hits = tree.query(pts, k=k)  # a hit whose square overflows is missing: id n
+    hits = np.sort(hits, axis=1)  # by id, so that argmin keeps the smallest tied id
+    at = np.minimum(hits, n - 1)
+    d = np.hypot(pts[at, 0] - pts[:, None, 0], pts[at, 1] - pts[:, None, 1])
+    d[hits >= rows[:, None]] = np.inf
+    col = d.argmin(axis=1)
+    best, far = d[rows, col], dist[:, -1]
+    if k == n:  # the hits are every point, unless some are missing
+        sure = (far < np.inf) & (best < np.inf)
+    else:
+        sure = (far >= _MIN_CERTIFIED) & (far < np.inf) & (far > best * (1 + _MARGIN))
+    return np.where(sure, hits[rows, col], -1)
+
+
+def _nearest_predecessors(pts: np.ndarray, tree) -> np.ndarray:
+    """parent[i] is the nearest j < i, ties to the smallest j; parent[0] is -1.
+
+    Rows the tree does not certify scan the whole prefix.
+    """
+    parent = _certified_predecessors(pts, tree)
+    for i in np.flatnonzero(parent[1:] < 0) + 1:
+        parent[i] = np.argmin(np.hypot(pts[:i, 0] - pts[i, 0], pts[:i, 1] - pts[i, 1]))
+    return parent
 
 
 def europe_like(seed: int = 1) -> RoadNetwork:

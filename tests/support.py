@@ -200,3 +200,15 @@ def linear_network_gnn(points, candidates, dist: np.ndarray) -> int:
         if best is None or key < best:
             best = key
     return best[1]
+
+
+def prefix_scan_predecessors(pts: np.ndarray) -> np.ndarray:
+    """Nearest j < i of each point i > 0, smallest j on ties; -1 for point 0.
+
+    One scan of the whole prefix per point, with the generator's np.hypot
+    expression, so that both agree to the bit.
+    """
+    parent = np.full(len(pts), -1)
+    for i in range(1, len(pts)):
+        parent[i] = np.argmin(np.hypot(pts[:i, 0] - pts[i, 0], pts[:i, 1] - pts[i, 1]))
+    return parent
