@@ -204,15 +204,15 @@ class _Tables:
     indexed by per-category positions."""
 
     cats: tuple[tuple[int, ...], ...]
+    members: np.ndarray  # (2b, n): the member rows, sources then destinations
     s_np: np.ndarray  # (n1, b): dist(source_i, first-category POI)
     t_np: np.ndarray  # (nk, b): dist(destination_i, last-category POI)
     s_cols: list[list[float]]
     t_cols: list[list[float]]
     # legs[i][p][q] = dist(cats[i][p], cats[i + 1][q]), one (n_i x n_{i+1})
-    # block per category step, filled by _fetch_chain. The fast solve does
-    # not fetch the rows of first POIs without a feasible last partner, so
-    # their entries in the first block are None; it fills no block at all
-    # when no pair is feasible.
+    # block per category step, filled by _fetch_chain. Entry p is None when
+    # the solve did not fetch the row of cats[i][p]; no block is filled when
+    # no pair is feasible.
     legs: list[list[Optional[list[float]]]] = field(default_factory=list)
 
 
@@ -224,26 +224,24 @@ def _prepare_tables(query: EfGtpQuery, oracle: DistanceOracle) -> _Tables:
     rows = oracle.rows(itertools.chain(query.group.sources, query.group.destinations))
     s_np = rows[:b][:, cats[0]].T.copy()  # (n1, b), read from the source rows
     t_np = rows[b:][:, cats[-1]].T.copy()  # (nk, b), from the destination rows
-    return _Tables(cats=cats, s_np=s_np, t_np=t_np, s_cols=s_np.tolist(), t_cols=t_np.tolist())
+    return _Tables(
+        cats=cats, members=rows, s_np=s_np, t_np=t_np, s_cols=s_np.tolist(), t_cols=t_np.tolist()
+    )
 
 
-def _fetch_chain(tables: _Tables, oracle: DistanceOracle, firsts: list[int]) -> None:
-    """Fill tables.legs from one more batched row fetch: the rows of the
-    first-category POIs at positions firsts, plus every interior POI, whose
-    rows any combination starting there reads."""
+def _fetch_chain(tables: _Tables, oracle: DistanceOracle, positions) -> None:
+    """Fill tables.legs from one more batched row fetch: the rows of the POIs
+    at positions[i] of each category i < k - 1, whose rows the combinations
+    through them read."""
     cats = tables.cats
-    if len(cats) == 1:
-        return
-    interior = cats[1:-1]
-    rows = oracle.rows(itertools.chain((cats[0][p] for p in firsts), *interior))
-    first_block: list[Optional[list[float]]] = [None] * len(cats[0])
-    for p, row in zip(firsts, rows[: len(firsts)][:, cats[1]].tolist()):
-        first_block[p] = row
-    tables.legs = [first_block]
-    at = len(firsts)
-    for cat, nxt in zip(interior, cats[2:]):
-        tables.legs.append(rows[at : at + len(cat)][:, nxt].tolist())
-        at += len(cat)
+    rows = oracle.rows(cats[i][p] for i, ps in enumerate(positions) for p in ps)
+    tables.legs, at = [], 0
+    for cat, nxt, ps in zip(cats, cats[1:], positions):
+        block: list[Optional[list[float]]] = [None] * len(cat)
+        for p, row in zip(ps, rows[at : at + len(ps)][:, nxt].tolist()):
+            block[p] = row
+        tables.legs.append(block)
+        at += len(ps)
 
 
 def _pair_gaps(tables: _Tables) -> np.ndarray:
@@ -278,7 +276,9 @@ def _table_route(query: EfGtpQuery, tables: _Tables, pos: tuple[int, ...]) -> Ev
 def _fast_solve(query: EfGtpQuery, tables: _Tables, oracle: DistanceOracle):
     """Read the feasible count and the first gap minimum off the pair-gap
     table, then fetch chain rows and search combinations only from first
-    POIs with a feasible last partner (no row at all when none is)."""
+    POIs with a feasible last partner (no row at all when none is). On a
+    cold oracle (_should_prune), only the rows that the landmark bound
+    cannot rule out are fetched and searched."""
     gaps = _pair_gaps(tables)
     min_gap, witness = _gap_minimum(gaps, query.k)
     feasible = gaps <= query.envy_threshold
@@ -287,23 +287,195 @@ def _fast_solve(query: EfGtpQuery, tables: _Tables, oracle: DistanceOracle):
         return None, 0, min_gap, witness
     # first positions with a feasible last partner (k = 1: one column each)
     firsts = np.flatnonzero(feasible.reshape(len(feasible), -1).any(axis=1)).tolist()
-    _fetch_chain(tables, oracle, firsts)
-    optimal = _table_route(query, tables, _cheapest_feasible(tables, feasible))
+    # the first and interior positions to walk; k = 1 reads no chain row
+    positions = [firsts, *(range(len(c)) for c in tables.cats[1:-1])][: query.k - 1]
+    if positions and _should_prune(query, tables, oracle, positions):
+        positions = _pruned_positions(query, tables, oracle, feasible, positions)
+    _fetch_chain(tables, oracle, positions)
+    optimal = _table_route(query, tables, _cheapest_feasible(tables, feasible, positions))
     return optimal, count, min_gap, witness
 
 
-def _cheapest_feasible(tables: _Tables, feasible: np.ndarray) -> tuple[int, ...]:
+def _chain_rows(query: EfGtpQuery, tables: _Tables, positions) -> set[int]:
+    """The vertices at positions, except the query's own member vertices,
+    whose rows the member fetch holds."""
+    members = {*query.group.sources, *query.group.destinations}
+    return {cat[p] for cat, ps in zip(tables.cats, positions) for p in ps} - members
+
+
+def _should_prune(
+    query: EfGtpQuery, tables: _Tables, oracle: DistanceOracle, positions
+) -> bool:
+    """Whether to prune: the oracle holds none of the chain rows at
+    positions, and more than k of them are missing. The pruned path reads
+    k - 1 rows for its upper bound, and its bounds cost up to one more
+    row's time (0.2-0.4 ms against 0.4 ms per row on minnesota_like), so
+    with k or fewer rows missing it cannot pay for itself."""
+    chain = _chain_rows(query, tables, positions)
+    return len(chain) > query.k and not any(map(oracle.holds, chain))
+
+
+# Elements per temporary array of the landmark bound (512 KiB of float64).
+_CHUNK = 1 << 16
+
+
+def _landmark_legs(a: np.ndarray, c: np.ndarray, b: int) -> np.ndarray:
+    """b * max over landmarks m of |a[m, p] - c[m, q]|, shape (n_a, n_c).
+
+    a and c hold the landmarks' distances to two POI sets, one landmark per
+    row. On an undirected graph |d(m, u) - d(m, v)| <= d(u, v) (the ALT
+    bound), so this bounds b times every chain leg from below."""
+    out = np.zeros((a.shape[1], c.shape[1]))
+    for x, y in zip(a, c):
+        diff = np.subtract.outer(x, y)
+        np.maximum(out, np.abs(diff, out=diff), out=out)
+    return out * b
+
+
+def _min_plus(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """out[i, j] = min over r of x[i, r] + y[r, j], one (i, j) plane per r."""
+    out = np.full((x.shape[0], y.shape[1]), np.inf)
+    for r in range(x.shape[1]):
+        np.minimum(out, x[:, r, None] + y[r], out=out)
+    return out
+
+
+def _slack(query: EfGtpQuery, tables: _Tables, landmark_max: float, ub: float) -> float:
+    """delta: how far a computed landmark bound can exceed the computed
+    aggregate of a combination whose aggregate is at most ub.
+
+    With u = 2**-53 and gamma_m = m*u/(1 - m*u), the relative error bound of
+    an m-term float sum of non-negative terms (Higham, section 3.1):
+
+    - A Dijkstra distance sums at most n - 1 weights, so it lies within
+      gamma_{n-1} (relative) of the exact distance d*.
+    - A landmark difference |d(m, u) - d(m, v)| is then at most d*(u, v) +
+      2*gamma_{n-1}*R, where R = landmark_max bounds the landmark rows, and
+      d*(u, v) is at most the computed leg d(u, v) over 1 - gamma_{n-1}.
+      Summed over the k - 1 legs of b members, the exact sum of the bound's
+      terms exceeds the exact sum A of the aggregate's terms by at most
+      gamma_n*A + 2*gamma_n*b*(k - 1)*R.
+    - The bound is a float sum with at most 2b + 2k roundings of
+      non-negative terms (member sums, the subtraction, the product by b,
+      the chain) and the aggregate one with k + b, so each lies within
+      gamma_{2b+2k} of its exact sum.
+
+    Together, with N = n + 2b + 2k and A <= ub*(1 + 2*gamma_N), the excess
+    is below 3*gamma_N*(ub + b*(k - 1)*R); delta takes 4*gamma_N, which
+    also covers rounding this formula and ub + delta.
+    """
+    b, k = query.b, query.k
+    m = tables.members.shape[1] + 2 * b + 2 * k
+    gamma = m * 2.0**-53 / (1 - m * 2.0**-53)
+    return 4 * gamma * (ub + b * (k - 1) * landmark_max)
+
+
+def _landmark_bounds(
+    query: EfGtpQuery, tables: _Tables, landmarks: np.ndarray, firsts, lasts, pairs
+) -> tuple[np.ndarray, list[np.ndarray], tuple[int, ...]]:
+    """Landmark bounds from the rows landmarks, one landmark per row.
+
+    A position's bound is the least sum(S) + b*sum(LB) + sum(T) over the
+    feasible (first, last) pairs (pairs: their indices into firsts and
+    lasts) and the interior paths through it. Min-plus passes over the
+    (n_i x n_{i+1}) bound blocks give, per interior category, the bound
+    from every first to each position (fw) and from each position to every
+    last (bw). Returns the bound of each first, the bounds of each interior
+    category, and the positions of the lowest-bound feasible combination.
+    """
+    cats, b, k = tables.cats, query.b, query.k
+    fi, ki = pairs
+    marks = [landmarks[:, c] for c in cats]  # (landmarks, n_i)
+    marks[0], marks[-1] = marks[0][:, firsts], marks[-1][:, lasts]
+    blocks = [_landmark_legs(x, y, b) for x, y in zip(marks, marks[1:])]
+    blocks[0] += tables.s_np[firsts].sum(axis=1)[:, None]
+    blocks[-1] += tables.t_np[lasts].sum(axis=1)
+    fw, bw = blocks[:1], blocks[-1:]
+    for block in blocks[1:-1]:
+        fw.append(_min_plus(fw[-1], block))
+    for block in reversed(blocks[1:-1]):
+        bw.insert(0, _min_plus(block, bw[0]))
+    # each pair's bound: its one block entry (k = 2), or the least over the
+    # first interior category, filled in its pass below
+    pair_bound = blocks[0][fi, ki] if k == 2 else np.empty(len(fi))
+    bounds = []
+    for f, g in list(zip(fw, bw))[: k - 2]:
+        bound = np.full(f.shape[1], np.inf)
+        step = max(1, _CHUNK // len(bound))
+        for lo in range(0, len(fi), step):
+            through = f[fi[lo : lo + step]] + g[:, ki[lo : lo + step]].T  # (pairs, n_j)
+            np.minimum(bound, through.min(axis=0), out=bound)
+            if not bounds:
+                pair_bound[lo : lo + step] = through.min(axis=1)
+        bounds.append(bound)
+    by_pair = np.full((len(firsts), len(lasts)), np.inf)
+    by_pair[fi, ki] = pair_bound
+    # the lowest-bound feasible combination, its interior walked forward
+    at, c = np.unravel_index(int(np.argmin(by_pair)), by_pair.shape)
+    pos = [firsts[at]]
+    if k > 2:
+        pos.append(int(np.argmin(fw[0][at] + bw[0][:, c])))
+        for block, g in zip(blocks[1:-1], bw[1:]):
+            pos.append(int(np.argmin(block[pos[-1]] + g[:, c])))
+    pos.append(int(lasts[c]))
+    return by_pair.min(axis=1), bounds, tuple(pos)
+
+
+def _pruned_positions(
+    query: EfGtpQuery, tables: _Tables, oracle: DistanceOracle, feasible: np.ndarray, positions
+) -> list[list[int]]:
+    """The first and interior positions that the landmark bound keeps, from
+    the member rows plus one fetch of k - 1 chain rows.
+
+    The member rows bound every position (_landmark_bounds). The chain
+    rows of the lowest-bound feasible combination give an upper bound ub,
+    its aggregate in the pinned order. A combination whose aggregate is at
+    most ub has a bound of at most ub + delta (_slack), so the optimum and
+    every tie of it keep their positions. When more than those k - 1 rows
+    survive, the bounds are taken again with the fetched rows as more
+    landmarks; each of them bounds the legs from its own POI exactly."""
+    cats, k = tables.cats, query.k
+    firsts = positions[0]
+    lasts = np.flatnonzero(feasible.any(axis=0))
+    pairs = np.nonzero(feasible[np.ix_(firsts, lasts)])
+    first_bound, bounds, pos = _landmark_bounds(query, tables, tables.members, firsts, lasts, pairs)
+    combo = _combo(cats, pos)
+    rows = oracle.rows(combo[:-1])
+    chain = [float(row[v]) for row, v in zip(rows, combo[1:])]
+    ub = sum(_member_distances(tables.s_cols[pos[0]], chain, tables.t_cols[pos[-1]]))
+    cut = ub + _slack(query, tables, max(float(tables.members.max()), float(rows.max())), ub)
+
+    def within(first_bound, bounds) -> list[list[int]]:
+        kept = [p for p, v in zip(firsts, first_bound.tolist()) if v <= cut]
+        return [kept, *(np.flatnonzero(bound <= cut).tolist() for bound in bounds)]
+
+    out = within(first_bound, bounds)
+    if sum(map(len, out)) >= k:  # more than the k - 1 rows fetched survive
+        landmarks = np.vstack([tables.members, rows])
+        out = within(*_landmark_bounds(query, tables, landmarks, firsts, lasts, pairs)[:2])
+    logger.info(
+        "landmark bound: fetched %d of %d chain rows",
+        len(_chain_rows(query, tables, out)),
+        len(_chain_rows(query, tables, positions)),
+    )
+    return out
+
+
+def _cheapest_feasible(tables: _Tables, feasible: np.ndarray, positions) -> tuple[int, ...]:
     """Positions of the cheapest combination whose (first, last) pair is
-    feasible (ties: first in enumeration order); at least one pair must be."""
+    feasible (ties: first in enumeration order), among the combinations
+    through the first and interior positions in positions, each in
+    increasing order (k = 1: every feasible POI). At least one pair must be
+    feasible."""
     s_cols, t_cols = tables.s_cols, tables.t_cols
     if len(tables.cats) == 1:  # min keeps the first of equal keys
         firsts = np.flatnonzero(feasible).tolist()
         return (min(firsts, key=lambda p: sum(_member_distances(s_cols[p], (), t_cols[p]))),)
     best_agg, best_pos = math.inf, None
     *inner_legs, last_legs = tables.legs
-    interior = [range(len(c)) for c in tables.cats[1:-1]]
-    for p1, feasible_row in enumerate(feasible):
-        lasts = np.flatnonzero(feasible_row).tolist()
+    firsts, *interior = positions
+    for p1 in firsts:
+        lasts = np.flatnonzero(feasible[p1]).tolist()
         if not lasts:
             continue
         s_col = s_cols[p1]
@@ -331,7 +503,7 @@ def _faithful_solve(query: EfGtpQuery, tables: _Tables, oracle: DistanceOracle, 
     kernel of evaluate_route, and keep the feasible count, the first gap
     minimum and the first cheapest feasible route. matrix_writer, when
     given, receives every route."""
-    _fetch_chain(tables, oracle, list(range(len(tables.cats[0]))))
+    _fetch_chain(tables, oracle, [range(len(c)) for c in tables.cats[:-1]])
     total = query.categories.combination_count()
     optimal, count, min_gap, witness = None, 0, math.inf, None
     positions = itertools.product(*(range(len(c)) for c in tables.cats))
@@ -367,7 +539,10 @@ def solve_exact(
     default takes every gap from the (first, last) pair-gap table built
     from them, then fetches the chain rows of the first POIs with a
     feasible last partner and of the interior categories (none when no
-    pair is feasible) and searches only those combinations.
+    pair is feasible) and searches only those combinations. On an oracle
+    that holds none of those rows, the member rows serve as landmarks
+    whose lower bounds rule rows out first; two more calls at most then
+    fetch the rest, with the same outcome to the bit.
     faithful=True is the reference: it fetches every chain row and
     evaluates each combination through the route kernel of
     evaluate_route. The two agree bit for bit. faithful costs about 5x

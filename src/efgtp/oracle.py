@@ -67,6 +67,10 @@ class DistanceOracle:
             for s, row in zip(sources, batch):
                 self._rows.setdefault(s, row)
 
+    def holds(self, s: int) -> bool:
+        """Whether the row of s is in the store (reading it computes nothing)."""
+        return s in self._rows
+
     def row(self, s: int) -> np.ndarray:
         """Read-only distance vector from s."""
         row = self._rows.get(s)

@@ -46,6 +46,10 @@ _PREDECESSOR_HITS = 13
 # over at most 64 levels, 96u on lengths. 7u + 96u, plus u for rounding the
 # product best * (1 + _MARGIN), stays below 128u.
 _MARGIN = 128 * 2.0**-53
+# Weight of an edge between coincident points, relative to scale. A scale
+# below about 2.47e-312 would round it to 0, which no network accepts.
+_COINCIDENT_WEIGHT = 1e-12
+
 # Farthest-hit length below which squares may be subnormal. When the squared
 # farthest length is 2**-968 or more, the underflow in the squares is under
 # 2**-105 of it, far inside _MARGIN.
@@ -66,6 +70,11 @@ def random_geometric_network(
         raise ValueError(f"edge count {m} impossible for {n} vertices")
     if not 0 < scale <= _MAX_SCALE:
         raise ValueError(f"scale must be positive and at most 2**510, got {scale}")
+    if scale * _COINCIDENT_WEIGHT == 0.0:
+        raise ValueError(
+            f"scale must be large enough that scale * 1e-12, the weight of an "
+            f"edge between coincident points, is positive, got {scale}"
+        )
     if not isinstance(seed, (int, np.integer)) or seed < 0:
         raise ValueError(f"seed must be a non-negative integer, got {seed}")
     from scipy.spatial import cKDTree  # here, so that importing efgtp skips scipy.spatial
@@ -95,7 +104,7 @@ def random_geometric_network(
 
     def weight(u: int, v: int) -> float:
         w = float(math.hypot(pts[u, 0] - pts[v, 0], pts[u, 1] - pts[v, 1]))
-        return w if w > 0.0 else scale * 1e-12  # coincident points, near-impossible
+        return w if w > 0.0 else scale * _COINCIDENT_WEIGHT  # coincident points
 
     edges = tuple((u, v, weight(u, v)) for u, v in pairs)
     external = tuple(str(i) for i in range(n))

@@ -352,19 +352,38 @@ class TestOracleStates:
         members = set(q.group.sources) | set(q.group.destinations)
         assert calls == [members | set(rho[:-1])]
 
-    def test_feasible_fast_solve_fetches_feasible_firsts_and_interior(self, europe):
+    def test_feasible_fast_solve_fetches_feasible_firsts_and_interior(self, europe, monkeypatch):
+        # a cold oracle fetches at most the rows of the feasible firsts and
+        # the interior POIs, in at most three calls (members, the upper
+        # bound's chain, the rows the landmark bound keeps); a warm one
+        # fetches exactly those rows
+        fewer = []
         for k in (2, 3, 4):
             cats = assign_categories(europe, k, 6, seed=70 + k)
             q = generate_query(europe, 4, cats, D=0.0, seed=71 + k)
             gaps = gap_distribution(q, build_oracle(europe)).reshape(6, 6)
             D = float(np.quantile(gaps, 0.1))
-            feasible_firsts = {cats.categories[0][p] for p in np.flatnonzero((gaps <= D).any(axis=1))}
+            firsts = np.flatnonzero((gaps <= D).any(axis=1))
+            feasible_firsts = {cats.categories[0][p] for p in firsts}
             assert 0 < len(feasible_firsts) < 6
-            oracle = build_oracle(europe)
-            assert solve_exact(q.with_threshold(D), oracle).feasible
             interior = {v for cat in cats.categories[1:-1] for v in cat}
             members = set(q.group.sources) | set(q.group.destinations)
-            assert set(oracle._rows) == members | feasible_firsts | interior
+            chain = feasible_firsts | interior
+            cold = build_oracle(europe)
+            calls = []
+            memoize = cold._memoize
+            monkeypatch.setattr(cold, "_memoize", lambda s: (calls.append(set(s)), memoize(s)))
+            out = solve_exact(q.with_threshold(D), cold)
+            assert out.feasible and set(out.optimal.combination[:-1]) <= set(cold._rows)
+            assert members <= set(cold._rows) <= members | chain
+            assert len(calls) <= 3 and calls[0] == members
+            fewer.append(len(set(cold._rows) - members) < len(chain - members))
+            # warm: one chain row held beforehand, every row the scan may read
+            warm = build_oracle(europe)
+            warm.prefetch([min(interior or feasible_firsts)])
+            assert repr(solve_exact(q.with_threshold(D), warm)) == repr(out)
+            assert set(warm._rows) == members | chain
+        assert fewer == [True, True, True]
 
     def test_faithful_and_debug_matrix_fetch_every_chain_start(self, europe):
         for k in (2, 3):
@@ -503,6 +522,21 @@ def test_progress_logging(path_oracle, caplog, monkeypatch):
     messages = [r.message for r in caplog.records]
     assert "evaluated 2/4 combinations" in messages
     assert "evaluated 4/4 combinations" in messages
+
+
+def test_pruned_solve_logs_its_rows(europe, caplog):
+    cats = assign_categories(europe, 3, 10, seed=403)
+    q = generate_query(europe, 4, cats, D=math.inf, seed=422)
+    members = set(q.group.sources) | set(q.group.destinations)
+    cold = build_oracle(europe)
+    with caplog.at_level(logging.INFO, logger="efgtp.exact"):
+        solve_exact(q, cold)
+        solve_exact(q, build_oracle(europe, FULL))  # a full oracle does not prune
+    fetched = len(set(cold._rows) - members)
+    assert 0 < fetched < 20
+    assert [r.message for r in caplog.records] == [
+        f"landmark bound: fetched {fetched} of 20 chain rows"
+    ]
 
 
 class TestQueryJson:

@@ -19,11 +19,14 @@ import csv
 import io
 import math
 
+import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
 from hypothesis import assume, example, given  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
+
+import efgtp.exact  # noqa: E402
 
 from efgtp import (  # noqa: E402
     FULL,
@@ -32,10 +35,14 @@ from efgtp import (  # noqa: E402
     EvaluatedRoute,
     GroupSpec,
     RoadNetwork,
+    assign_categories,
     build_oracle,
+    europe_like,
     evaluate_route,
     gap_distribution,
+    generate_query,
     min_additional_distance,
+    minnesota_like,
     solve_exact,
 )
 
@@ -49,7 +56,7 @@ WEIGHTS = {
     "float-tied": st.sampled_from((0.1, 0.2, 0.3)),  # sums that tie up to rounding
 }
 EXACT = ("integer", "tied", "dyadic")
-THRESHOLDS = ("zero", "min", "inf")
+THRESHOLDS = ("zero", "min", "inf", "mid")
 
 
 @st.composite
@@ -118,7 +125,7 @@ def every_kind_and_k(test):
                 categories=CategoryAssignment(tuple((2 * i + 1, 2 * i + 2) for i in range(k))),
                 envy_threshold=0.0,
             )
-            test = example((kind, net, query, THRESHOLDS[k % 3]))(test)
+            test = example((kind, net, query, THRESHOLDS[k % 4]))(test)
     return test
 
 
@@ -137,12 +144,20 @@ def brute_route(brute) -> EvaluatedRoute:
 def test_fast_faithful_and_brute_force_agree(instance):
     kind, net, q, rule = instance
     gaps = gap_distribution(q, build_oracle(net))
-    q = q.with_threshold({"zero": 0.0, "min": float(gaps.min()), "inf": math.inf}[rule])
+    mid = float(np.quantile(gaps, 0.5))
+    thresholds = {"zero": 0.0, "min": float(gaps.min()), "inf": math.inf, "mid": mid}
+    q = q.with_threshold(thresholds[rule])
 
     fast = solve_exact(q, build_oracle(net))
     assert repr(solve_exact(q, build_oracle(net), faithful=True)) == repr(fast)
-    assert repr(solve_exact(q, build_oracle(net, FULL))) == repr(fast)
+    full = build_oracle(net, FULL)
+    assert repr(solve_exact(q, full)) == repr(fast)
     assert fast.feasible or rule == "zero"
+
+    # an oracle warmed by a solve at another threshold gives the same bits
+    warm = build_oracle(net)
+    for qd in (q.with_threshold(mid), q):
+        assert repr(solve_exact(qd, warm)) == repr(solve_exact(qd, full))
 
     # the debug matrix's rows are evaluate_route's numbers, to the bit
     stream = io.StringIO()
@@ -178,3 +193,61 @@ def test_fast_faithful_and_brute_force_agree(instance):
         assert route.combination == brute.best_combo
         assert route.per_member == brute.best_members
         assert route.aggregated == brute.best_aggregated
+
+
+def test_near_tie_inside_the_slack(monkeypatch):
+    # first POIs 1 and 0 tie at 0.9999999999999999 with last POI 5. The
+    # landmark bound of (1, 5) rounds above that aggregate, so only the
+    # slack delta keeps POI 1, the first of the tie in enumeration order.
+    pairs = ((0, 1), (0, 2), (0, 4), (1, 5), (2, 4), (2, 6), (3, 7), (4, 7), (4, 8), (5, 8))
+    weights = dict.fromkeys(pairs, 0.3) | dict.fromkeys([(0, 6), (2, 3), (5, 7)], 0.1)
+    net = RoadNetwork(
+        vertex_count=9,
+        edges=tuple((u, v, w) for (u, v), w in sorted(weights.items())),
+        external_ids=tuple(str(i) for i in range(9)),
+    )
+    q = EfGtpQuery(
+        group=GroupSpec(sources=(2,), destinations=(7,)),
+        categories=CategoryAssignment(((1, 8, 0), (5,))),
+        envy_threshold=math.inf,
+    )
+    oracle = build_oracle(net)
+    tie = evaluate_route(q, (0, 5), oracle).aggregated
+    assert evaluate_route(q, (1, 5), oracle).aggregated == tie == 0.9999999999999999
+    faithful = solve_exact(q, build_oracle(net), faithful=True)
+    assert faithful.optimal.combination == (1, 5)
+    assert repr(solve_exact(q, build_oracle(net))) == repr(faithful)
+    monkeypatch.setattr(efgtp.exact, "_slack", lambda *args: 0.0)
+    assert solve_exact(q, build_oracle(net)).optimal.combination == (0, 5)
+
+
+@pytest.fixture(scope="module", params=["europe", "minnesota"])
+def preset(request):
+    net = {"europe": europe_like, "minnesota": minnesota_like}[request.param]()
+    return net, build_oracle(net, FULL)
+
+
+@pytest.mark.parametrize("k, per_category", [(2, 40), (3, 12), (4, 6)])
+def test_presets_prune_cold_rows_to_the_same_bits(preset, k, per_category):
+    # fresh (pruned), FULL and faithful solves agree; the fresh oracle
+    # fetches no row outside the unpruned first and interior rows, and
+    # fewer of them in all
+    net, full = preset
+    fetched = unpruned = 0
+    for seed in range(3):
+        cats = assign_categories(net, k, per_category, seed=500 + 10 * k + seed)
+        q = generate_query(net, 4, cats, D=0.0, seed=600 + 10 * k + seed)
+        gaps = gap_distribution(q, full).reshape(per_category, per_category)
+        for D in (float(gaps.min()), float(np.quantile(gaps, 0.05)), float(np.quantile(gaps, 0.5))):
+            qd = q.with_threshold(D)
+            fresh = build_oracle(net)
+            out = solve_exact(qd, fresh)
+            assert repr(solve_exact(qd, full)) == repr(out)
+            assert repr(solve_exact(qd, full, faithful=True)) == repr(out)
+            members = set(q.group.sources) | set(q.group.destinations)
+            firsts = {cats.categories[0][p] for p in np.flatnonzero((gaps <= D).any(axis=1))}
+            chain = (firsts | {v for cat in cats.categories[1:-1] for v in cat}) - members
+            rows = set(fresh._rows) - members
+            assert rows <= chain
+            fetched, unpruned = fetched + len(rows), unpruned + len(chain)
+    assert fetched < unpruned

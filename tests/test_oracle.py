@@ -417,8 +417,19 @@ class TestColdBudget:
         assert dijkstra_calls == [8]  # MAD reads the same member rows
 
     def test_feasible_exact(self, europe, dijkstra_calls):
-        assert solve_exact(self.query(europe, 3, 4, math.inf), build_oracle(europe)).feasible
-        assert len(dijkstra_calls) == 2 and dijkstra_calls[0] == 8  # members, then chain
+        q = self.query(europe, 3, 4, math.inf)
+        assert solve_exact(q, build_oracle(europe)).feasible
+        # members, the lowest-bound combination's k - 1 chain rows, then the
+        # rest of the rows the landmark bound keeps: fewer than the 20 first
+        # and interior rows
+        assert len(dijkstra_calls) == 3 and dijkstra_calls[:2] == [8, 2]
+        assert sum(dijkstra_calls[2:]) < 18
+        # a warm oracle fetches every first and interior row in one call
+        oracle = build_oracle(europe)
+        oracle.prefetch([q.categories.categories[1][0]])
+        del dijkstra_calls[:]
+        assert solve_exact(q, oracle).feasible
+        assert dijkstra_calls == [8, 19]
 
 
 class TestConnectivityOnce:
