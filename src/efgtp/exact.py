@@ -654,6 +654,12 @@ def load_query(text: str, net: RoadNetwork) -> EfGtpQuery:
         if not _json_is(doc[key], kind):
             raise ValueError(f"query {key!r} must be {what}")
 
+    seen: set[str] = set()  # the file's ids, so that an error names what it wrote
+    for token in (str(v) for cat in doc["categories"] for v in cat):
+        if token in seen:
+            raise ValueError(f"query 'categories' lists vertex {token!r} more than once")
+        seen.add(token)
+
     def to_internal(values):
         return tuple(net.internal_id(str(v)) for v in values)
 

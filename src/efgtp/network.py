@@ -278,6 +278,8 @@ def parse_coords(text: str, net: RoadNetwork) -> np.ndarray:
         i = net._ext_index.get(parts[0])
         if i is None:
             continue
+        if not math.isnan(coords[i, 0]):  # rows start as NaN, so this one is set
+            raise ValueError(f"line {lineno}: second coordinate line for id {parts[0]!r}")
         try:
             x, y = float(parts[1]), float(parts[2])
         except ValueError:

@@ -14,8 +14,8 @@ with ``np.hypot``. The row is kept when the farthest hit is farther than
 the best predecessor by more than the rounding gap between the tree's
 distances and ``np.hypot`` (``_MARGIN``): every point outside the hits is
 then strictly farther, so the minimum and all its ties are among the
-hits. Other rows (no predecessor among the hits, many coincident points,
-squares that overflow or underflow) scan the whole prefix instead.
+hits. Other rows (no predecessor among the hits, or the farthest hit within
+the margin, as among many coincident points) scan the whole prefix instead.
 """
 
 from __future__ import annotations
@@ -26,10 +26,12 @@ import numpy as np
 
 from .network import RoadNetwork
 
-DEFAULT_SCALE = 10_000.0
-# Coordinates lie in [0, scale), so below this bound every squared distance,
-# at most 2 * scale**2 = 2**1021, is finite and the k-d tree finds every pair.
-_MAX_SCALE = 2.0**510
+# Coordinates in [0, SCALE) are SCALE * r, rounded, for r = j * 2**-53. Distinct
+# ones differ by over 1e-13: the float spacing from 512 up is 2**-43 or more, and
+# below 1024 draws differ by SCALE * 2**-53 = 1.1e-12 less two roundings of at most
+# 2**-44. So each squared difference is 0 or in [1e-26, 1e8], which is what
+# _certified_predecessors relies on.
+SCALE = 10_000.0
 
 # Points the tree returns per vertex in the predecessor search, the vertex
 # itself included. On minnesota_like, 8, 12 and 16 neighbours took 13, 13
@@ -46,41 +48,22 @@ _PREDECESSOR_HITS = 13
 # over at most 64 levels, 96u on lengths. 7u + 96u, plus u for rounding the
 # product best * (1 + _MARGIN), stays below 128u.
 _MARGIN = 128 * 2.0**-53
-# Weight of an edge between coincident points, relative to scale. A scale
-# below about 2.47e-312 would round it to 0, which no network accepts.
-_COINCIDENT_WEIGHT = 1e-12
-
-# Farthest-hit length below which squares may be subnormal. When the squared
-# farthest length is 2**-968 or more, the underflow in the squares is under
-# 2**-105 of it, far inside _MARGIN.
-_MIN_CERTIFIED = 2.0**-484
+_COINCIDENT_WEIGHT = SCALE * 1e-12  # edge weight between coincident points, exactly 1e-08
 
 
-def random_geometric_network(
-    vertex_count: int,
-    edge_count: int,
-    seed: int,
-    scale: float = DEFAULT_SCALE,
-) -> RoadNetwork:
+def random_geometric_network(vertex_count: int, edge_count: int, seed: int) -> RoadNetwork:
     """Connected network with exactly the requested vertex and edge counts."""
     n, m = vertex_count, edge_count
     if n < 2:
         raise ValueError(f"need at least 2 vertices, got {n}")
     if not (n - 1 <= m <= n * (n - 1) // 2):
         raise ValueError(f"edge count {m} impossible for {n} vertices")
-    if not 0 < scale <= _MAX_SCALE:
-        raise ValueError(f"scale must be positive and at most 2**510, got {scale}")
-    if scale * _COINCIDENT_WEIGHT == 0.0:
-        raise ValueError(
-            f"scale must be large enough that scale * 1e-12, the weight of an "
-            f"edge between coincident points, is positive, got {scale}"
-        )
     if not isinstance(seed, (int, np.integer)) or seed < 0:
         raise ValueError(f"seed must be a non-negative integer, got {seed}")
     from scipy.spatial import cKDTree  # here, so that importing efgtp skips scipy.spatial
 
     rng = np.random.default_rng(seed)
-    pts = rng.random((n, 2)) * scale
+    pts = rng.random((n, 2)) * SCALE
     kdtree = cKDTree(pts)
     parent = _nearest_predecessors(pts, kdtree)  # keeps the tree road-like
     pairs = list(zip(parent[1:].tolist(), range(1, n)))
@@ -104,7 +87,7 @@ def random_geometric_network(
 
     def weight(u: int, v: int) -> float:
         w = float(math.hypot(pts[u, 0] - pts[v, 0], pts[u, 1] - pts[v, 1]))
-        return w if w > 0.0 else scale * _COINCIDENT_WEIGHT  # coincident points
+        return w if w > 0.0 else _COINCIDENT_WEIGHT
 
     edges = tuple((u, v, weight(u, v)) for u, v in pairs)
     external = tuple(str(i) for i in range(n))
@@ -114,20 +97,19 @@ def random_geometric_network(
 
 
 def _certified_predecessors(pts: np.ndarray, tree) -> np.ndarray:
-    """Each vertex's nearest predecessor where the tree's hits certify it, else -1."""
+    """Each vertex's nearest predecessor where the tree's hits certify it, else -1.
+
+    Precondition: every squared coordinate difference is finite, and normal if nonzero.
+    """
     n = len(pts)
     k, rows = min(n, _PREDECESSOR_HITS), np.arange(n)
-    dist, hits = tree.query(pts, k=k)  # a hit whose square overflows is missing: id n
+    dist, hits = tree.query(pts, k=k)
     hits = np.sort(hits, axis=1)  # by id, so that argmin keeps the smallest tied id
-    at = np.minimum(hits, n - 1)
-    d = np.hypot(pts[at, 0] - pts[:, None, 0], pts[at, 1] - pts[:, None, 1])
+    d = np.hypot(pts[hits, 0] - pts[:, None, 0], pts[hits, 1] - pts[:, None, 1])
     d[hits >= rows[:, None]] = np.inf
     col = d.argmin(axis=1)
     best, far = d[rows, col], dist[:, -1]
-    if k == n:  # the hits are every point, unless some are missing
-        sure = (far < np.inf) & (best < np.inf)
-    else:
-        sure = (far >= _MIN_CERTIFIED) & (far < np.inf) & (far > best * (1 + _MARGIN))
+    sure = (best < np.inf) & ((k == n) | (far > best * (1 + _MARGIN)))
     return np.where(sure, hits[rows, col], -1)
 
 
@@ -142,14 +124,14 @@ def _nearest_predecessors(pts: np.ndarray, tree) -> np.ndarray:
     return parent
 
 
-def europe_like(seed: int = 1) -> RoadNetwork:
+def europe_like() -> RoadNetwork:
     """Stand-in with the benchmark's Europe-graph shape: 1174 vertices, 1417 edges."""
-    return random_geometric_network(1174, 1417, seed=seed)
+    return random_geometric_network(1174, 1417, seed=1)
 
 
-def minnesota_like(seed: int = 2) -> RoadNetwork:
+def minnesota_like() -> RoadNetwork:
     """Stand-in with the benchmark's Minnesota-graph shape: 2642 vertices, 3303 edges."""
-    return random_geometric_network(2642, 3303, seed=seed)
+    return random_geometric_network(2642, 3303, seed=2)
 
 
 def to_matrix_market(net: RoadNetwork) -> str:

@@ -253,9 +253,29 @@ class TestExitCodes:
                 }
             )
         )
-        code, _, err = run(capsys, "solve-exact", "--graph", GRAPH, "--query", str(q))
+        code, out, err = run(capsys, "solve-exact", "--graph", GRAPH, "--query", str(q))
         assert code == 2
-        assert "99" in err
+        assert err == "error: unknown vertex id '99'\n" and out == ""
+
+    @pytest.mark.parametrize(
+        "categories",
+        [[["20"], ["20"]], [["20", "30"], [30]], [["20", "20"]]],
+        ids=["two-categories", "string-and-integer", "one-category"],
+    )
+    def test_repeated_poi_named_by_its_file_id(self, capsys, tmp_path, categories):
+        graph = tmp_path / "g.txt"
+        graph.write_text("10 20 1\n20 30 1\n30 40 1\n")
+        q = tmp_path / "q.json"
+        q.write_text(
+            json.dumps(
+                {"sources": ["10"], "destinations": ["40"], "categories": categories, "D": 1.0}
+            )
+        )
+        code, out, err = run(capsys, "solve-exact", "--graph", str(graph), "--query", str(q))
+        assert code == 2
+        vertex = str(categories[-1][-1])
+        assert err == f"error: query 'categories' lists vertex {vertex!r} more than once\n"
+        assert out == ""
 
     @pytest.mark.parametrize(
         "override, key",

@@ -200,6 +200,11 @@ class TestCoords:
             with pytest.raises(ValueError, match="line 2: coordinates must be finite"):
                 parse_coords(f"0 0 0\n1 {x} {y}\n", net)
 
+    def test_repeated_id_rejected(self):
+        net = path_network(2)
+        with pytest.raises(ValueError, match=r"^line 3: second coordinate line for id '1'$"):
+            parse_coords("0 0 0\n1 3 4\n1 5 6\n", net)
+
     def test_euclidean_weights(self):
         net = path_network(3).with_coords(np.array([[0.0, 0.0], [3.0, 4.0], [3.0, 5.0]]))
         out = with_euclidean_weights(net)
