@@ -24,7 +24,7 @@ from .experiments import (
     records_to_csv,
     run_sweep,
 )
-from .heuristic import solve_heuristic
+from .heuristic import INDEX_MODES, solve_heuristic
 from .oracle import CapacityError, build_oracle
 
 
@@ -55,7 +55,8 @@ def build_parser() -> argparse.ArgumentParser:
     ph = sub.add_parser(
         "solve-heuristic", parents=[solve], help="greedy GNN/NN solve of one query file"
     )
-    ph.add_argument("--index", choices=["euclidean"], help="pick POIs via R-tree instead of the oracle")
+    modes = [mode for mode in INDEX_MODES if mode is not None]  # None: the oracle picks
+    ph.add_argument("--index", choices=modes, help="pick POIs via R-tree instead of the oracle")
     ph.set_defaults(func=_cmd_solve_heuristic)
 
     for name, help_text, run, to_csv in (
@@ -144,10 +145,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except CapacityError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (OSError, ValueError, KeyError) as exc:
-        # str() of a KeyError is the repr of its message, quotes and all
-        message = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
-        print(f"error: {message}", file=sys.stderr)
+    except (OSError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 2
 
 

@@ -29,7 +29,7 @@ from typing import IO, Iterator, Optional
 
 import numpy as np
 
-from .network import CategoryAssignment, GroupSpec, RoadNetwork
+from .network import CategoryAssignment, GroupSpec, RoadNetwork, _resolve_ids
 from .oracle import CapacityError, DistanceOracle
 
 logger = logging.getLogger(__name__)
@@ -654,25 +654,10 @@ def load_query(text: str, net: RoadNetwork) -> EfGtpQuery:
         if not _json_is(doc[key], kind):
             raise ValueError(f"query {key!r} must be {what}")
 
-    seen: set[str] = set()  # the file's ids, so that an error names what it wrote
-    for token in (str(v) for cat in doc["categories"] for v in cat):
-        if token in seen:
-            raise ValueError(f"query 'categories' lists vertex {token!r} more than once")
-        seen.add(token)
-
-    def to_internal(values):
-        return tuple(net.internal_id(str(v)) for v in values)
-
-    group = GroupSpec(
-        sources=to_internal(doc["sources"]),
-        destinations=to_internal(doc["destinations"]),
-    )
-    categories = CategoryAssignment(
-        tuple(to_internal(cat) for cat in doc["categories"])
-    )
-    return EfGtpQuery(
-        group=group, categories=categories, envy_threshold=float(doc["D"])
-    )
+    members = ((f"query {key!r}", doc[key]) for key in ("sources", "destinations"))
+    group = GroupSpec(*_resolve_ids(net, members))
+    cats = _resolve_ids(net, (("query 'categories'", c) for c in doc["categories"]), unique=True)
+    return EfGtpQuery(group, CategoryAssignment(cats), float(doc["D"]))
 
 
 def dump_query(query: EfGtpQuery, net: RoadNetwork) -> str:

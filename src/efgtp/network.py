@@ -306,23 +306,38 @@ def format_coords(net: RoadNetwork) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _resolve_ids(net: RoadNetwork, rows, unique: bool = False) -> tuple[tuple[int, ...], ...]:
+    """Internal ids of written external ids, one tuple per (place, ids) row.
+    Errors start with the place (a query key, a line) and name the id as
+    written. With unique, no id repeats over all rows (20 and "20" are one)."""
+    seen: dict[str, str] = {}  # with unique: id -> the place it first appeared
+    out = []
+    for place, ids in rows:
+        out.append([])
+        for tok in map(str, ids):
+            if tok in seen:
+                again = "more than once" if seen[tok] == place else f"again (first on {seen[tok]})"
+                raise ValueError(f"{place} lists vertex {tok!r} {again}")
+            if unique:
+                seen[tok] = place
+            try:
+                out[-1].append(net.internal_id(tok))
+            except KeyError:
+                raise ValueError(f"{place}: unknown vertex id {tok!r}") from None
+    return tuple(map(tuple, out))
+
+
 def parse_categories(text: str, net: RoadNetwork) -> CategoryAssignment:
-    """Parse a category file: line i holds the external ids of category i."""
-    cats: list[tuple[int, ...]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("%") or line.startswith("#"):
-            continue
-        members = []
-        for tok in line.split():
-            i = net._ext_index.get(tok)
-            if i is None:
-                raise ValueError(f"line {lineno}: unknown vertex id {tok!r}")
-            members.append(i)
-        cats.append(tuple(members))
-    if not cats:
+    """Parse a category file: its i-th content line holds the external ids
+    of category i. Blank lines and '%' or '#' comment lines are skipped."""
+    rows = [
+        (f"line {lineno}", line.split())
+        for lineno, line in enumerate(map(str.strip, text.splitlines()), start=1)
+        if line and not line.startswith(("%", "#"))
+    ]
+    if not rows:
         raise ValueError("empty category file")
-    return CategoryAssignment(tuple(cats))
+    return CategoryAssignment(_resolve_ids(net, rows, unique=True))
 
 
 def with_euclidean_weights(net: RoadNetwork) -> RoadNetwork:

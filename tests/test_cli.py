@@ -1,12 +1,14 @@
 """End-to-end command tests driven through main(argv) with pinned outputs."""
 
 import json
+import re
 from pathlib import Path
 
 import pytest
 
 from efgtp import bench_from_csv, europe_like, format_edge_list, records_from_csv
 from efgtp.cli import main
+from efgtp.heuristic import INDEX_MODES
 
 DATA = Path(__file__).resolve().parent.parent / "data"
 GRAPH = str(DATA / "sample-graph.txt")
@@ -154,6 +156,17 @@ class TestSolveHeuristic:
         assert code == 2
         assert "coordinates" in err
 
+    def test_index_choices_are_the_library_modes(self, capsys):
+        code, out, err = run(
+            capsys,
+            "solve-heuristic", "--graph", GRAPH, "--query", QUERY,
+            "--index", "rtree",
+        )
+        assert code == 1 and out == ""
+        choices = re.search(r"\[--index \{([^}]*)\}\]", err).group(1)
+        assert choices.split(",") == [mode for mode in INDEX_MODES if mode is not None]
+        assert choices == "euclidean"
+
 
 def write_config(tmp_path, **overrides):
     doc = {
@@ -255,7 +268,24 @@ class TestExitCodes:
         )
         code, out, err = run(capsys, "solve-exact", "--graph", GRAPH, "--query", str(q))
         assert code == 2
-        assert err == "error: unknown vertex id '99'\n" and out == ""
+        assert err == "error: query 'destinations': unknown vertex id '99'\n" and out == ""
+
+    @pytest.mark.parametrize(
+        "override, key, written",
+        [
+            ({"sources": [0, 99]}, "sources", "99"),
+            ({"categories": [["1", "6"], [9, "011"]]}, "categories", "011"),
+        ],
+        ids=["sources-integer", "categories-leading-zero"],
+    )
+    def test_unknown_vertex_named_as_written(self, capsys, tmp_path, override, key, written):
+        doc = json.loads(Path(QUERY).read_text())
+        doc.update(override)
+        q = tmp_path / "q.json"
+        q.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "solve-exact", "--graph", GRAPH, "--query", str(q))
+        assert code == 2
+        assert err == f"error: query {key!r}: unknown vertex id {written!r}\n" and out == ""
 
     @pytest.mark.parametrize(
         "categories",

@@ -31,6 +31,7 @@ from efgtp import (
     load_query,
     max_pair_gap,
     min_additional_distance,
+    parse_categories,
     parse_edge_list,
     solve_exact,
 )
@@ -566,8 +567,21 @@ class TestQueryJson:
 
     def test_unknown_vertex(self, path_oracle):
         doc = '{"sources": ["99"], "destinations": ["4"], "categories": [["1"]], "D": 1}'
-        with pytest.raises(KeyError, match="unknown vertex"):
+        with pytest.raises(ValueError, match=r"^query 'sources': unknown vertex id '99'$"):
             load_query(doc, path_oracle.net)
+
+    @pytest.mark.parametrize(
+        "categories",
+        [[["30", 20], [50], ["40"]], [[10, "20", 30, "40", 50]], [["50"], ["10"]]],
+        ids=["mixed", "one-category", "endpoints"],
+    )
+    def test_categories_read_alike_from_query_and_category_file(self, categories):
+        net = parse_edge_list("10 20 1\n20 30 1\n30 40 1\n40 50 1\n")
+        doc = {"sources": ["10"], "destinations": ["50"], "categories": categories, "D": 1}
+        lines = "".join(" ".join(map(str, cat)) + "\n\n# next\n" for cat in categories)
+        from_query = load_query(json.dumps(doc), net).categories
+        assert from_query == parse_categories(lines, net)
+        assert from_query.k == len(categories)
 
     def test_threshold_validation(self):
         with pytest.raises(ValueError, match="nonnegative"):

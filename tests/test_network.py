@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import re
 
 import numpy as np
 import pytest
@@ -242,10 +243,24 @@ class TestCategories:
         net = path_network(6)
         cats = parse_categories("# shops\n0 2\n3 4 5\n", net)
         assert cats.categories == ((0, 2), (3, 4, 5))
-        with pytest.raises(ValueError, match="unknown vertex"):
-            parse_categories("0 nope\n", net)
+        with pytest.raises(ValueError, match=r"^line 4: unknown vertex id 'nope'$"):
+            parse_categories("# shops\n\n0\n3 nope\n", net)
         with pytest.raises(ValueError, match="empty category file"):
             parse_categories("# only comments\n", net)
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("20\n20\n", "line 2 lists vertex '20' again (first on line 1)"),
+            ("20 20\n", "line 1 lists vertex '20' more than once"),
+            ("# a\n30 20\n\n% b\n40 20\n", "line 5 lists vertex '20' again (first on line 2)"),
+        ],
+        ids=["across-lines", "within-a-line", "after-comments"],
+    )
+    def test_repeated_id_named_as_written(self, text, message):
+        net = parse_edge_list("10 20 1\n20 30 1\n30 40 1\n")
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            parse_categories(text, net)
 
     def test_group_spec(self):
         with pytest.raises(ValueError, match="equal length"):
