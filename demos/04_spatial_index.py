@@ -1,4 +1,4 @@
-"""Bulk-load an R-tree over network coordinates and run point/group lookups."""
+"""Index network coordinates and run Euclidean point/group lookups."""
 
 import math
 
@@ -6,6 +6,8 @@ from efgtp import (
     assign_categories,
     build_oracle,
     bulk_load,
+    euclidean_gnn,
+    euclidean_nn,
     generate_query,
     random_geometric_network,
     solve_heuristic,
@@ -15,24 +17,23 @@ from efgtp import (
 def main():
     net = random_geometric_network(1174, 1417, seed=1)
     xs, ys = net.coords[:, 0], net.coords[:, 1]
-    tree = bulk_load(
+    index = bulk_load(
         (v, float(xs[v]), float(ys[v])) for v in range(net.vertex_count)
     )
-    tree.validate()
-    print(f"indexed {len(tree)} points, fanout {tree.fanout}, height {tree.height}")
+    print(f"indexed {len(index)} points")
 
     q = (2500.0, 2500.0)
-    hit = tree.nn(*q)
+    hit = euclidean_nn(index, *q)
     print(f"\nnearest vertex to {q}: {hit} at ({xs[hit]:.0f}, {ys[hit]:.0f}), "
           f"distance {math.hypot(xs[hit] - q[0], ys[hit] - q[1]):.1f}")
 
     group = [(1000.0, 1000.0), (9000.0, 1500.0), (5000.0, 9000.0)]
-    meet = tree.gnn(group)
+    meet = euclidean_gnn(index, group)
     total = sum(math.hypot(xs[meet] - x, ys[meet] - y) for x, y in group)
     print(f"best meeting vertex for {len(group)} scattered points: {meet} "
           f"(summed distance {total:.1f})")
 
-    # the same tree backs the indexed variant of the greedy solver
+    # the same scans back the indexed variant of the greedy solver
     oracle = build_oracle(net)
     assignment = assign_categories(net, 3, 15, seed=5)
     query = generate_query(net, 3, assignment, D=1e9, seed=6)

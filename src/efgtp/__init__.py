@@ -4,8 +4,8 @@ A group of members, each with a source and destination, must visit one
 POI per category in a fixed order. The library finds the combination
 minimizing the group's total travel distance subject to a bound on how
 much any two members' individual trips may differ, with an exhaustive
-solver, a greedy GNN/NN heuristic, shortest-path distance oracles, an
-R-tree for Euclidean candidate search, and a sweep/bench harness.
+solver, a greedy GNN/NN heuristic with network or Euclidean picks,
+shortest-path distance oracles, and a sweep/bench harness.
 """
 
 from .exact import (
@@ -67,7 +67,7 @@ from .oracle import (
     build_oracle,
     load_matrix,
 )
-from .rtree import Rect, RTree, bulk_load, euclidean_gnn, euclidean_nn
+from .rtree import bulk_load, euclidean_gnn, euclidean_nn
 from .synthetic import (
     europe_like,
     minnesota_like,
@@ -89,8 +89,6 @@ __all__ = [
     "HeuristicResult",
     "ON_DEMAND",
     "PoiCombination",
-    "Rect",
-    "RTree",
     "RoadNetwork",
     "SolveOutcome",
     "SweepConfig",

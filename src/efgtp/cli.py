@@ -56,7 +56,9 @@ def build_parser() -> argparse.ArgumentParser:
         "solve-heuristic", parents=[solve], help="greedy GNN/NN solve of one query file"
     )
     modes = [mode for mode in INDEX_MODES if mode is not None]  # None: the oracle picks
-    ph.add_argument("--index", choices=modes, help="pick POIs via R-tree instead of the oracle")
+    ph.add_argument(
+        "--index", choices=modes, help="pick POIs by Euclidean distance instead of the oracle"
+    )
     ph.set_defaults(func=_cmd_solve_heuristic)
 
     for name, help_text, run, to_csv in (

@@ -15,9 +15,10 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from . import rtree  # picks read as rtree.* at call time, where the traced benchmark wraps them
 from .exact import EfGtpQuery, EvaluatedRoute, evaluate_route
 from .oracle import DistanceOracle
-from .rtree import RTree, bulk_load
+from .rtree import bulk_load
 
 INDEX_MODES = (None, "euclidean")
 
@@ -74,7 +75,7 @@ def group_nearest_neighbor(
     return _pick(points, candidates, oracle)
 
 
-def _category_tree(oracle: DistanceOracle, cat: Sequence[int]) -> RTree:
+def _category_points(oracle: DistanceOracle, cat: Sequence[int]) -> list[rtree.Entry]:
     coords = oracle.net.coords
     return bulk_load([(v, coords[v, 0], coords[v, 1]) for v in cat])
 
@@ -87,9 +88,10 @@ def solve_heuristic(
     """One-pass greedy route: GNN, chained NNs, GNN.
 
     index=None picks every POI by network distance; index="euclidean"
-    swaps the picks for R-tree searches over vertex coordinates (requires
-    coordinates on the network). Either way the returned route is
-    evaluated with network distances, so the two modes are comparable.
+    picks by Euclidean distance over vertex coordinates, one linear scan
+    per pick (requires coordinates on the network). Either way the
+    returned route is evaluated with network distances, so the two modes
+    are comparable.
 
     k = 1 degenerates to a single joint GNN over sources and destinations
     together (reported as gnn_queries = 1).
@@ -108,10 +110,14 @@ def solve_heuristic(
             raise ValueError("indexed mode requires vertex coordinates")
 
         def gnn(points, cat):
-            return _category_tree(oracle, cat).gnn([(coords[v, 0], coords[v, 1]) for v in points])
+            return rtree.euclidean_gnn(
+                _category_points(oracle, cat), [(coords[v, 0], coords[v, 1]) for v in points]
+            )
 
         def nn(point, cat):
-            return _category_tree(oracle, cat).nn(coords[point, 0], coords[point, 1])
+            return rtree.euclidean_nn(
+                _category_points(oracle, cat), coords[point, 0], coords[point, 1]
+            )
     else:
         oracle.prefetch(sources + destinations)  # every member row in one Dijkstra call
 

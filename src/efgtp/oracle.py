@@ -127,12 +127,15 @@ def build_oracle(
 ) -> DistanceOracle:
     """Construct an oracle; full mode computes every row up front.
 
-    An empty or disconnected network raises ValueError (connectivity is
-    computed once per network and stored on it). Full mode refuses
-    to allocate beyond max_bytes and reports the required size.
+    A network with no vertices, or a disconnected one, raises ValueError
+    (connectivity is computed once per network and stored on it). Full
+    mode refuses to allocate beyond max_bytes and reports the required
+    size.
     """
     if mode not in (FULL, ON_DEMAND):
         raise ValueError(f"unknown oracle mode {mode!r}; expected {FULL!r} or {ON_DEMAND!r}")
+    if net.vertex_count == 0:
+        raise ValueError("network has no vertices")
     if not is_connected(net):
         raise ValueError(
             "network is not connected; apply largest_connected_component first"
@@ -150,7 +153,12 @@ def build_oracle(
 
 
 def load_matrix(path: str, net: RoadNetwork) -> DistanceOracle:
-    """Load a matrix cache written by save_matrix into a full-mode oracle."""
+    """Load a matrix cache written by save_matrix into a full-mode oracle.
+
+    Besides the magic, the vertex count and the payload length, row 0 must
+    equal a fresh Dijkstra row of net bit for bit, so a cache written for
+    another network with the same vertex count is rejected.
+    """
     with open(path, "rb") as f:
         magic = f.read(len(MATRIX_MAGIC))
         if magic != MATRIX_MAGIC:
@@ -167,4 +175,6 @@ def load_matrix(path: str, net: RoadNetwork) -> DistanceOracle:
             f"{path}: truncated matrix payload ({len(payload)} of {expected} bytes)"
         )
     matrix = np.frombuffer(payload, dtype="<f8").reshape(n, n).astype(np.float64)
+    if n and not np.array_equal(matrix[0], _dijkstra(net.csgraph, directed=True, indices=0)):
+        raise ValueError(f"{path}: matrix does not match this network (row 0 differs)")
     return DistanceOracle(net, matrix)

@@ -1,257 +1,46 @@
-"""Static R-tree over planar points with best-first Euclidean queries.
+"""Euclidean nearest-neighbor and group-nearest-neighbor picks by linear scan.
 
-Built once by sort-tile-recursive packing (no dynamic inserts); queries
-are exact nearest-neighbor and group-nearest-neighbor searches that prune
-with rectangle lower bounds. Ties in distance resolve to the smallest
-vertex id, matching the network-distance search paths so the two modes
-are comparable.
+`bulk_load` checks (vertex-id, x, y) entries and returns them as a list
+sorted by id; `euclidean_nn` and `euclidean_gnn` scan that list once. A
+point's distance to (qx, qy) is `math.hypot(x - qx, y - qy)`, a group
+distance is the sum of those over the query points in the given order
+starting from 0, and ties resolve to the smallest vertex id, matching the
+network-distance picks so the two modes are comparable.
+
+The three names stay separate calls, rather than inline code in the
+heuristic, because the traced benchmark (`bench/spans.py`) times the
+indexed picks by wrapping `heuristic.bulk_load` and these two functions.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from heapq import heappop, heappush
 from typing import Iterable, Sequence
 
-DEFAULT_FANOUT = 16
-DEFAULT_MIN_FILL = 6
+Entry = tuple[int, float, float]
 
 
-@dataclass(frozen=True)
-class Rect:
-    """Axis-aligned bounding rectangle; degenerate (point) extents allowed."""
-
-    min_x: float
-    min_y: float
-    max_x: float
-    max_y: float
-
-    def __post_init__(self):
-        if not (self.min_x <= self.max_x and self.min_y <= self.max_y):
-            raise ValueError(f"malformed rectangle: {self}")
-
-    def mindist(self, x: float, y: float) -> float:
-        """Euclidean distance from (x, y) to the rectangle (0 inside)."""
-        dx = max(self.min_x - x, 0.0, x - self.max_x)
-        dy = max(self.min_y - y, 0.0, y - self.max_y)
-        return math.hypot(dx, dy)
-
-    def contains(self, other: "Rect") -> bool:
-        return (
-            self.min_x <= other.min_x
-            and self.min_y <= other.min_y
-            and other.max_x <= self.max_x
-            and other.max_y <= self.max_y
-        )
-
-    def contains_point(self, x: float, y: float) -> bool:
-        return self.min_x <= x <= self.max_x and self.min_y <= y <= self.max_y
-
-    def union(self, other: "Rect") -> "Rect":
-        return Rect(
-            min(self.min_x, other.min_x),
-            min(self.min_y, other.min_y),
-            max(self.max_x, other.max_x),
-            max(self.max_y, other.max_y),
-        )
-
-    @staticmethod
-    def bound_points(points: Sequence[tuple[float, float]]) -> "Rect":
-        xs = [p[0] for p in points]
-        ys = [p[1] for p in points]
-        return Rect(min(xs), min(ys), max(xs), max(ys))
-
-
-class _Node:
-    """Internal node (children) or leaf (entries of (id, x, y))."""
-
-    __slots__ = ("rect", "children", "entries")
-
-    def __init__(self, rect, children=None, entries=None):
-        self.rect = rect
-        self.children = children
-        self.entries = entries
-
-    @property
-    def is_leaf(self) -> bool:
-        return self.entries is not None
-
-
-def _balanced_sizes(n: int, parts: int) -> list[int]:
-    q, r = divmod(n, parts)
-    return [q + 1] * r + [q] * (parts - r)
-
-
-def _str_groups(items: list, fanout: int, key_x, key_y) -> list[list]:
-    """Sort-tile partition into exactly ceil(n / fanout) balanced groups."""
-    n = len(items)
-    if n <= fanout:
-        return [list(items)]
-    p = -(-n // fanout)
-    s = math.isqrt(p - 1) + 1  # ceil(sqrt(p)) vertical slabs
-    group_sizes = _balanced_sizes(n, p)
-    groups_per_slab = _balanced_sizes(p, s)
-    by_x = sorted(items, key=key_x)
-    groups: list[list] = []
-    pos = 0
-    gi = 0
-    for gcount in groups_per_slab:
-        sizes = group_sizes[gi : gi + gcount]
-        slab = sorted(by_x[pos : pos + sum(sizes)], key=key_y)
-        off = 0
-        for size in sizes:
-            groups.append(slab[off : off + size])
-            off += size
-        pos += off
-        gi += gcount
-    return groups
-
-
-@dataclass(frozen=True, eq=False)
-class RTree:
-    """Packed R-tree; immutable after bulk_load, safe for concurrent queries."""
-
-    root: _Node
-    size: int
-    fanout: int
-    min_fill: int
-
-    def __len__(self) -> int:
-        return self.size
-
-    @property
-    def height(self) -> int:
-        h, node = 1, self.root
-        while not node.is_leaf:
-            h += 1
-            node = node.children[0]
-        return h
-
-    def nn(self, qx: float, qy: float) -> int:
-        return euclidean_nn(self, qx, qy)
-
-    def gnn(self, points: Sequence[tuple[float, float]]) -> int:
-        return euclidean_gnn(self, points)
-
-    def validate(self) -> None:
-        """Walk the tree checking containment, fill, depth, and id coverage."""
-        seen: set[int] = set()
-        leaf_depths: set[int] = set()
-
-        def walk(node: _Node, depth: int, is_root: bool) -> None:
-            count = len(node.entries) if node.is_leaf else len(node.children)
-            lo = 1 if is_root else self.min_fill
-            if not (lo <= count <= self.fanout):
-                raise ValueError(
-                    f"node fill {count} outside [{lo}, {self.fanout}] at depth {depth}"
-                )
-            if node.is_leaf:
-                leaf_depths.add(depth)
-                for vid, x, y in node.entries:
-                    if vid in seen:
-                        raise ValueError(f"vertex {vid} indexed more than once")
-                    seen.add(vid)
-                    if not node.rect.contains_point(x, y):
-                        raise ValueError(f"entry {vid} escapes its leaf rectangle")
-            else:
-                for child in node.children:
-                    if not node.rect.contains(child.rect):
-                        raise ValueError("child rectangle escapes its parent")
-                    walk(child, depth + 1, False)
-
-        walk(self.root, 1, True)
-        if len(leaf_depths) != 1:
-            raise ValueError(f"leaves at mixed depths: {sorted(leaf_depths)}")
-        if len(seen) != self.size:
-            raise ValueError(f"indexed {len(seen)} vertices, expected {self.size}")
-
-
-def bulk_load(
-    entries: Iterable[tuple[int, float, float]],
-    fanout: int = DEFAULT_FANOUT,
-    min_fill: int = DEFAULT_MIN_FILL,
-) -> RTree:
-    """Pack (vertex-id, x, y) entries bottom-up by sort-tile-recursive order.
-
-    Every level splits into exactly ceil(count / fanout) balanced groups, so
-    non-root fill stays within [min_fill, fanout] (min_fill is clamped to
-    fanout // 2, the balanced-split guarantee) and the height of the packed
-    tree is ceil(log_fanout(count)).
-    """
-    items = [(int(v), float(x), float(y)) for v, x, y in entries]
+def bulk_load(entries: Iterable[tuple[int, float, float]]) -> list[Entry]:
+    """The (vertex-id, x, y) entries as floats, sorted by id."""
+    items = sorted((int(v), float(x), float(y)) for v, x, y in entries)
     if not items:
         raise ValueError("cannot build an index over zero entries")
-    if fanout < 2:
-        raise ValueError(f"fanout must be at least 2, got {fanout}")
-    ids = [v for v, _, _ in items]
-    if len(set(ids)) != len(ids):
+    if len({v for v, _, _ in items}) != len(items):
         raise ValueError("duplicate vertex ids in index entries")
-    min_fill = max(1, min(min_fill, fanout // 2))
-
-    leaf_groups = _str_groups(items, fanout, key_x=lambda e: e[1], key_y=lambda e: e[2])
-    level = [
-        _Node(rect=Rect.bound_points([(x, y) for _, x, y in g]), entries=g)
-        for g in leaf_groups
-    ]
-    while len(level) > 1:
-        parents = []
-        for group in _str_groups(
-            level,
-            fanout,
-            key_x=lambda nd: nd.rect.min_x + nd.rect.max_x,
-            key_y=lambda nd: nd.rect.min_y + nd.rect.max_y,
-        ):
-            rect = group[0].rect
-            for child in group[1:]:
-                rect = rect.union(child.rect)
-            parents.append(_Node(rect=rect, children=group))
-        level = parents
-    return RTree(root=level[0], size=len(items), fanout=fanout, min_fill=min_fill)
+    return items
 
 
-def _best_first(tree: RTree, node_bound, entry_dist) -> int:
-    # Heap keys (distance, kind, tiebreak): kind 0 expands nodes before
-    # equal-distance entries, so the first entry popped is the true minimum
-    # with smallest-id tie-break.
-    counter = 0
-    heap = [(node_bound(tree.root), 0, counter, tree.root)]
-    while heap:
-        dist, kind, tiebreak, payload = heappop(heap)
-        if kind == 1:
-            return tiebreak
-        node = payload
-        if node.is_leaf:
-            for vid, x, y in node.entries:
-                heappush(heap, (entry_dist(x, y), 1, vid, None))
-        else:
-            for child in node.children:
-                counter += 1
-                heappush(heap, (node_bound(child), 0, counter, child))
-    raise ValueError("search exhausted an empty index")  # unreachable: size >= 1
-
-
-def euclidean_nn(tree: RTree, qx: float, qy: float) -> int:
+def euclidean_nn(index: Sequence[Entry], qx: float, qy: float) -> int:
     """Id of the indexed point nearest to (qx, qy); ties -> smallest id."""
     qx, qy = float(qx), float(qy)
-    return _best_first(
-        tree,
-        node_bound=lambda nd: nd.rect.mindist(qx, qy),
-        entry_dist=lambda x, y: math.hypot(x - qx, y - qy),
-    )
+    # min keeps the first of equal keys, and the index is sorted by id
+    return min(index, key=lambda e: math.hypot(e[1] - qx, e[2] - qy))[0]
 
 
-def euclidean_gnn(tree: RTree, points: Sequence[tuple[float, float]]) -> int:
-    """Id minimizing the summed Euclidean distance to all query points.
-
-    Pruning uses the summed rectangle lower bound, which never exceeds the
-    true aggregate of any entry inside the rectangle.
-    """
+def euclidean_gnn(index: Sequence[Entry], points: Sequence[tuple[float, float]]) -> int:
+    """Id minimizing the summed Euclidean distance to all query points;
+    ties -> smallest id."""
     pts = [(float(x), float(y)) for x, y in points]
     if not pts:
         raise ValueError("group query needs at least one point")
-    return _best_first(
-        tree,
-        node_bound=lambda nd: sum(nd.rect.mindist(x, y) for x, y in pts),
-        entry_dist=lambda ex, ey: sum(math.hypot(ex - x, ey - y) for x, y in pts),
-    )
+    return min(index, key=lambda e: sum(math.hypot(e[1] - x, e[2] - y) for x, y in pts))[0]

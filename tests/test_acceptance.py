@@ -2,7 +2,8 @@
 
 The suite is deliberately independent of the unit tests: expected values
 come from a hand-written brute-force evaluator, a Floyd-Warshall matrix,
-and numpy linear scans rather than from the library under test.
+numpy linear scans and a literal math.hypot scan rather than from the
+library under test.
 """
 
 import itertools
@@ -22,6 +23,8 @@ from efgtp import (
     assign_categories,
     build_oracle,
     bulk_load,
+    euclidean_gnn,
+    euclidean_nn,
     europe_like,
     gap_distribution,
     generate_query,
@@ -199,38 +202,41 @@ def test_criterion_5_heuristic_soundness(suite):
 
 
 def test_criterion_6_index_equivalence():
-    with criterion(6, "R-tree NN/GNN match linear scans; structure holds to 10^4"):
+    with criterion(6, "Euclidean NN/GNN match a literal math.hypot scan to 10^4, ties forced"):
         rng = np.random.default_rng(606)
-        n = 10_000
-        xs = rng.random(n) * 1000
-        ys = rng.random(n) * 1000
-        ids = rng.permutation(n)
-        tree = bulk_load(zip(ids.tolist(), xs.tolist(), ys.tolist()))
-        tree.validate()
-        assert tree.height == 4  # 16^3 < 10^4 <= 16^4
 
-        def ref_nn(qx, qy):
-            d = np.hypot(xs - qx, ys - qy)
-            return int(ids[d == d.min()].min())
-
-        def ref_gnn(points):
-            d = np.zeros(n)
+        def literal(ids, xs, ys, points):
+            # math.hypot per point, summed over the points in order from 0
+            # (numpy's - and + round as Python's do); ties to the smallest id
+            total = np.zeros(len(ids))
             for qx, qy in points:
-                d += np.hypot(xs - qx, ys - qy)
-            return int(ids[d == d.min()].min())
+                total += list(map(math.hypot, (xs - qx).tolist(), (ys - qy).tolist()))
+            return int(ids[total == total.min()].min())
 
-        for _ in range(600):
-            qx, qy = (float(v) for v in rng.random(2) * 1200 - 100)
-            assert tree.nn(qx, qy) == ref_nn(qx, qy)
-        for _ in range(400):
-            pts = [(float(x), float(y)) for x, y in rng.random((int(rng.integers(1, 5)), 2)) * 1000]
-            assert tree.gnn(pts) == ref_gnn(pts)
+        def check(xs, ys, make_points, nn_queries, gnn_queries):
+            ids = rng.permutation(len(xs))
+            index = bulk_load(zip(ids.tolist(), xs.tolist(), ys.tolist()))
+            for _ in range(nn_queries):
+                qx, qy = make_points(1)[0]
+                assert euclidean_nn(index, qx, qy) == literal(ids, xs, ys, [(qx, qy)])
+            for _ in range(gnn_queries):
+                pts = make_points(int(rng.integers(1, 5)))
+                assert euclidean_gnn(index, pts) == literal(ids, xs, ys, pts)
 
-        sizes = list(range(1, 65)) + [100, 255, 256, 257, 1000, 4096, 9999]
-        for size in sizes:
-            pts = rng.random((size, 2)) * 100
-            small = bulk_load((i, float(x), float(y)) for i, (x, y) in enumerate(pts))
-            small.validate()
+        def uniform(m):
+            return (rng.random((m, 2)) * 1200 - 100).tolist()
+
+        def grid(m, lo=-10, hi=110):
+            return rng.integers(lo, hi, (m, 2)).astype(float).tolist()
+
+        n = 10_000
+        # uniform points, then an integer grid where distances tie exactly
+        check(*rng.random((2, n)) * 1000, uniform, 300, 200)
+        check(*rng.integers(0, 100, (2, n)).astype(float), grid, 300, 200)
+        for size in list(range(1, 65)) + [100, 255, 256, 257, 1000, 4096, 9999]:
+            side = math.isqrt(size) + 1
+            xs, ys = rng.integers(0, side, (2, size)).astype(float)
+            check(xs, ys, lambda m: grid(m, -2, side + 2), 2, 2)
 
 
 def test_criterion_7_performance_sanity():

@@ -26,6 +26,7 @@ from efgtp import (
     load_network,
     min_additional_distance,
     parse_edge_list,
+    random_geometric_network,
     solve_exact,
     solve_heuristic,
 )
@@ -85,13 +86,17 @@ def test_edge_weight_is_upper_bound():
 
 def test_disconnected_network_rejected():
     empty = RoadNetwork(vertex_count=0, edges=(), external_ids=())
-    for net in (parse_edge_list("a b 1\nx y 1\n"), empty):
+    for net, message in (
+        (
+            parse_edge_list("a b 1\nx y 1\n"),
+            "network is not connected; apply largest_connected_component first",
+        ),
+        (empty, "network has no vertices"),
+    ):
         for mode in (ON_DEMAND, FULL):
             with pytest.raises(ValueError) as err:
                 build_oracle(net, mode)
-            assert str(err.value) == (
-                "network is not connected; apply largest_connected_component first"
-            )
+            assert str(err.value) == message
 
 
 def test_dist_reads_the_row_of_its_first_vertex():
@@ -196,6 +201,15 @@ def test_load_matrix_validation(tmp_path):
     truncated.write_bytes(path.read_bytes()[:-16])
     with pytest.raises(ValueError, match="payload"):
         load_matrix(truncated, net)
+
+    # same vertex count, other network: the distances give it away
+    a = random_geometric_network(50, 80, seed=1)
+    b = random_geometric_network(50, 80, seed=2)
+    build_oracle(a, mode=FULL).save_matrix(path)
+    assert load_matrix(path, a).dist(0, 1) == build_oracle(a).dist(0, 1)
+    with pytest.raises(ValueError, match="matrix does not match this network") as err:
+        load_matrix(path, b)
+    assert str(path) in str(err.value)
 
 
 def test_concurrent_queries_consistent():

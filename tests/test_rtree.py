@@ -1,11 +1,11 @@
-"""Packed R-tree: structure invariants plus query equivalence to linear scans."""
+"""Euclidean NN/GNN scans: input checks plus equivalence to literal loops."""
 
 import math
 
 import numpy as np
 import pytest
 
-from efgtp import Rect, bulk_load, euclidean_gnn, euclidean_nn
+from efgtp import bulk_load, euclidean_gnn, euclidean_nn
 
 from support import linear_gnn, linear_nn
 
@@ -16,103 +16,25 @@ def random_entries(rng, n, span=100.0):
     return [(vid, float(x), float(y)) for vid, (x, y) in zip(ids, pts)]
 
 
-def expected_height(n, fanout):
-    h = 1
-    while fanout**h < n:
-        h += 1
-    return h
+def grid_entries(rng, n, side=6):
+    pts = rng.integers(0, side, (n, 2))
+    ids = [int(v) for v in rng.permutation(n)]
+    return [(vid, float(x), float(y)) for vid, (x, y) in zip(ids, pts)]
 
 
-class TestRect:
-    def test_mindist_inside_is_zero(self):
-        r = Rect(0.0, 0.0, 4.0, 2.0)
-        assert r.mindist(1.0, 1.0) == 0.0
-        assert r.mindist(0.0, 2.0) == 0.0  # boundary counts as inside
-
-    def test_mindist_axis_and_corner(self):
-        r = Rect(0.0, 0.0, 4.0, 2.0)
-        assert r.mindist(-3.0, 1.0) == 3.0
-        assert r.mindist(2.0, 7.0) == 5.0
-        assert r.mindist(7.0, 6.0) == 5.0  # corner gap (3, 4)
-
-    def test_mindist_lower_bounds_members(self):
-        rng = np.random.default_rng(400)
-        for _ in range(200):
-            pts = rng.random((8, 2)) * 10
-            r = Rect.bound_points([(float(x), float(y)) for x, y in pts])
-            qx, qy = (float(v) for v in rng.random(2) * 30 - 10)
-            lo = r.mindist(qx, qy)
-            for x, y in pts:
-                assert lo <= math.hypot(x - qx, y - qy) + 1e-12
-
-    def test_contains_and_union(self):
-        a = Rect(0.0, 0.0, 2.0, 2.0)
-        b = Rect(1.0, 1.0, 3.0, 4.0)
-        assert not a.contains(b)
-        u = a.union(b)
-        assert u == Rect(0.0, 0.0, 3.0, 4.0)
-        assert u.contains(a) and u.contains(b)
-        assert a.contains(Rect(0.5, 0.5, 1.5, 2.0))
-
-    def test_contains_point_boundary(self):
-        r = Rect(0.0, 0.0, 1.0, 1.0)
-        assert r.contains_point(1.0, 0.0)
-        assert not r.contains_point(1.0 + 1e-9, 0.0)
-
-    def test_bound_points(self):
-        r = Rect.bound_points([(3.0, 1.0), (-1.0, 5.0), (2.0, 2.0)])
-        assert r == Rect(-1.0, 1.0, 3.0, 5.0)
-
-    def test_degenerate_rect_allowed(self):
-        r = Rect.bound_points([(2.0, 3.0)])
-        assert r == Rect(2.0, 3.0, 2.0, 3.0)
-        assert r.mindist(2.0, 3.0) == 0.0
-
-    def test_inverted_rect_rejected(self):
-        with pytest.raises(ValueError, match="malformed rectangle"):
-            Rect(1.0, 0.0, 0.0, 2.0)
+# (entries, query points) makers: uniform points, then integer-grid points
+# and queries, where many candidates share a distance and ties decide
+INPUTS = (
+    (random_entries, lambda rng, m: rng.random((m, 2)) * 140 - 20),
+    (grid_entries, lambda rng, m: rng.integers(-2, 8, (m, 2))),
+)
 
 
 class TestBulkLoad:
     def test_single_entry(self):
-        tree = bulk_load([(7, 1.0, 2.0)])
-        assert len(tree) == 1
-        assert tree.height == 1
-        tree.validate()
-        assert tree.nn(0.0, 0.0) == 7
-
-    def test_full_leaf_stays_single_level(self):
-        rng = np.random.default_rng(401)
-        tree = bulk_load(random_entries(rng, 16), fanout=16)
-        assert tree.height == 1
-        tree.validate()
-
-    def test_height_formula(self):
-        rng = np.random.default_rng(402)
-        cases = [
-            (16, [1, 2, 15, 16, 17, 96, 255, 256, 257, 600]),
-            (4, [1, 4, 5, 16, 17, 64, 65, 100]),
-            (3, [1, 3, 4, 9, 10, 27, 28, 50]),
-            (2, [1, 2, 3, 4, 7, 8, 9, 33]),
-        ]
-        for fanout, sizes in cases:
-            for n in sizes:
-                tree = bulk_load(random_entries(rng, n), fanout=fanout)
-                assert tree.height == expected_height(n, fanout), (fanout, n)
-                tree.validate()
-
-    def test_structure_invariants_random(self):
-        rng = np.random.default_rng(403)
-        for _ in range(40):
-            n = int(rng.integers(1, 400))
-            fanout = int(rng.integers(2, 20))
-            bulk_load(random_entries(rng, n), fanout=fanout).validate()
-
-    def test_min_fill_clamped_to_half_fanout(self):
-        rng = np.random.default_rng(404)
-        tree = bulk_load(random_entries(rng, 50), fanout=4, min_fill=10)
-        assert tree.min_fill == 2
-        tree.validate()
+        index = bulk_load([(7, 1.0, 2.0)])
+        assert len(index) == 1
+        assert euclidean_nn(index, 0.0, 0.0) == 7
 
     def test_duplicate_ids_rejected(self):
         with pytest.raises(ValueError, match="duplicate"):
@@ -122,97 +44,81 @@ class TestBulkLoad:
         with pytest.raises(ValueError, match="zero entries"):
             bulk_load([])
 
-    def test_tiny_fanout_rejected(self):
-        with pytest.raises(ValueError, match="fanout"):
-            bulk_load([(0, 0.0, 0.0)], fanout=1)
-
     def test_duplicate_coordinates_allowed(self):
-        entries = [(i, 1.0, 1.0) for i in range(40)]
-        tree = bulk_load(entries, fanout=4)
-        tree.validate()
-        assert tree.nn(5.0, 5.0) == 0
+        entries = [(i, 1.0, 1.0) for i in reversed(range(40))]
+        index = bulk_load(entries)
+        assert index == sorted(entries)
+        assert euclidean_nn(index, 5.0, 5.0) == 0
 
 
 class TestNearestNeighbor:
     def test_matches_linear_scan(self):
         rng = np.random.default_rng(405)
-        checks = 0
-        while checks < 1200:
-            n = int(rng.integers(1, 300))
-            fanout = int(rng.integers(2, 20))
-            entries = random_entries(rng, n)
-            tree = bulk_load(entries, fanout=fanout)
-            for _ in range(20):
-                qx, qy = (float(v) for v in rng.random(2) * 140 - 20)
-                assert tree.nn(qx, qy) == linear_nn(entries, qx, qy)
-                checks += 1
+        for make_entries, make_points in INPUTS:
+            checks = 0
+            while checks < 1200:
+                entries = make_entries(rng, int(rng.integers(1, 300)))
+                index = bulk_load(entries)
+                for _ in range(20):
+                    qx, qy = (float(v) for v in make_points(rng, 1)[0])
+                    assert euclidean_nn(index, qx, qy) == linear_nn(entries, qx, qy)
+                    checks += 1
 
     def test_tie_breaks_to_smallest_id(self):
-        # four points on a unit circle around the query, ids deliberately
-        # scattered across leaves by distant filler points
+        # four points on a unit circle around the query, ids out of order,
+        # among distant filler points
         entries = [(9, 1.0, 0.0), (4, -1.0, 0.0), (7, 0.0, 1.0), (5, 0.0, -1.0)]
         entries += [(i, 50.0 + i, 50.0) for i in range(10, 40)]
-        tree = bulk_load(entries, fanout=3)
-        assert tree.nn(0.0, 0.0) == 4
+        assert euclidean_nn(bulk_load(entries), 0.0, 0.0) == 4
+        # 2² + 107² = 43² + 98²: math.hypot gives both the same distance,
+        # np.hypot differs by an ulp on some platforms
+        assert math.hypot(2.0, 107.0) == math.hypot(43.0, 98.0)
+        assert euclidean_nn(bulk_load([(1, 2.0, 107.0), (0, 43.0, 98.0)]), 0.0, 0.0) == 0
 
     def test_exact_hit(self):
         rng = np.random.default_rng(406)
         entries = random_entries(rng, 80)
-        tree = bulk_load(entries, fanout=5)
+        index = bulk_load(entries)
         for vid, x, y in entries[::7]:
-            assert tree.nn(x, y) == vid
+            assert euclidean_nn(index, x, y) == vid
 
 
 class TestGroupNearestNeighbor:
     def test_matches_linear_scan(self):
         rng = np.random.default_rng(407)
-        checks = 0
-        while checks < 1200:
-            n = int(rng.integers(1, 250))
-            fanout = int(rng.integers(2, 20))
-            entries = random_entries(rng, n)
-            tree = bulk_load(entries, fanout=fanout)
-            for _ in range(15):
-                m = int(rng.integers(1, 6))
-                points = [
-                    (float(x), float(y)) for x, y in rng.random((m, 2)) * 140 - 20
-                ]
-                assert tree.gnn(points) == linear_gnn(entries, points)
-                checks += 1
+        for make_entries, make_points in INPUTS:
+            checks = 0
+            while checks < 1200:
+                entries = make_entries(rng, int(rng.integers(1, 250)))
+                index = bulk_load(entries)
+                for _ in range(15):
+                    m = int(rng.integers(1, 6))
+                    points = [(float(x), float(y)) for x, y in make_points(rng, m)]
+                    assert euclidean_gnn(index, points) == linear_gnn(entries, points)
+                    checks += 1
 
     def test_single_point_equals_nn(self):
         rng = np.random.default_rng(408)
-        entries = random_entries(rng, 120)
-        tree = bulk_load(entries, fanout=6)
+        index = bulk_load(random_entries(rng, 120))
         for _ in range(100):
             qx, qy = (float(v) for v in rng.random(2) * 100)
-            assert tree.gnn([(qx, qy)]) == tree.nn(qx, qy)
+            assert euclidean_gnn(index, [(qx, qy)]) == euclidean_nn(index, qx, qy)
 
     def test_collinear_tie_prefers_smallest_id(self):
         # every point strictly between the two query points has the same
         # summed distance, so the smallest id must win
         entries = [(8, 2.0, 0.0), (3, 5.0, 0.0), (6, 7.0, 0.0)]
         entries += [(i, 100.0 + i, 90.0) for i in range(20, 60)]
-        tree = bulk_load(entries, fanout=4)
-        assert tree.gnn([(0.0, 0.0), (10.0, 0.0)]) == 3
+        assert euclidean_gnn(bulk_load(entries), [(0.0, 0.0), (10.0, 0.0)]) == 3
 
     def test_empty_points_rejected(self):
-        tree = bulk_load([(0, 0.0, 0.0)])
+        index = bulk_load([(0, 0.0, 0.0)])
         with pytest.raises(ValueError, match="at least one point"):
-            tree.gnn([])
-
-    def test_module_functions_match_methods(self):
-        rng = np.random.default_rng(409)
-        entries = random_entries(rng, 60)
-        tree = bulk_load(entries, fanout=8)
-        assert euclidean_nn(tree, 3.0, 4.0) == tree.nn(3.0, 4.0)
-        pts = [(1.0, 2.0), (9.0, 5.0)]
-        assert euclidean_gnn(tree, pts) == tree.gnn(pts)
+            euclidean_gnn(index, [])
 
 
 class TestClusteredData:
     def test_clustered_points_still_correct(self):
-        # STR packing degrades gracefully on clustered inputs; answers must not
         rng = np.random.default_rng(410)
         centers = rng.random((6, 2)) * 1000
         pts = np.concatenate(
@@ -221,10 +127,8 @@ class TestClusteredData:
         entries = [
             (i, float(x), float(y)) for i, (x, y) in enumerate(pts)
         ]
-        tree = bulk_load(entries, fanout=16)
-        tree.validate()
-        assert tree.height == expected_height(len(entries), 16)
+        index = bulk_load(entries)
         for _ in range(200):
             q = centers[int(rng.integers(0, 6))] + rng.normal(0, 50.0, 2)
             qx, qy = float(q[0]), float(q[1])
-            assert tree.nn(qx, qy) == linear_nn(entries, qx, qy)
+            assert euclidean_nn(index, qx, qy) == linear_nn(entries, qx, qy)
