@@ -13,14 +13,10 @@ from .exact import (
     EvaluatedRoute,
     PoiCombination,
     SolveOutcome,
-    aggregated_distance,
     dump_query,
-    enumerate_combinations,
     evaluate_route,
     gap_distribution,
-    individual_distance,
     load_query,
-    max_pair_gap,
     min_additional_distance,
     solve_exact,
 )
@@ -93,7 +89,6 @@ __all__ = [
     "SolveOutcome",
     "SweepConfig",
     "SweepRecord",
-    "aggregated_distance",
     "assign_categories",
     "bench_from_csv",
     "bench_to_csv",
@@ -102,7 +97,6 @@ __all__ = [
     "compare_solvers",
     "component_labels",
     "dump_query",
-    "enumerate_combinations",
     "euclidean_gnn",
     "euclidean_nn",
     "europe_like",
@@ -112,13 +106,11 @@ __all__ = [
     "gap_distribution",
     "generate_query",
     "group_nearest_neighbor",
-    "individual_distance",
     "is_connected",
     "largest_connected_component",
     "load_matrix",
     "load_network",
     "load_query",
-    "max_pair_gap",
     "min_additional_distance",
     "minnesota_like",
     "nearest_neighbor",

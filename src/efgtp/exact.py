@@ -25,7 +25,7 @@ import json
 import logging
 import math
 from dataclasses import dataclass, field, replace
-from typing import IO, Iterator, Optional
+from typing import IO, Optional
 
 import numpy as np
 
@@ -100,11 +100,6 @@ class SolveOutcome:
         return self.optimal is not None
 
 
-def enumerate_combinations(categories: CategoryAssignment) -> Iterator[PoiCombination]:
-    """All POI combinations, lexicographic in per-category positions."""
-    return itertools.product(*categories.categories)
-
-
 def validate_combination(categories: CategoryAssignment, rho: PoiCombination) -> None:
     if len(rho) != categories.k:
         raise ValueError(f"expected {categories.k} POIs, got {len(rho)}")
@@ -155,34 +150,12 @@ def _route(combo, s, chain, t, threshold: float) -> EvaluatedRoute:
     )
 
 
-def individual_distance(
-    query: EfGtpQuery, member_index: int, rho: PoiCombination, oracle: DistanceOracle
-) -> float:
-    """Trip length of one member through the POI chain."""
-    if not (0 <= member_index < query.b):
-        raise ValueError(f"member index {member_index} out of range [0, {query.b})")
-    return evaluate_route(query, rho, oracle).per_member[member_index]
-
-
-def aggregated_distance(
-    query: EfGtpQuery, rho: PoiCombination, oracle: DistanceOracle
-) -> float:
-    """Total distance over all members (sum of individual trips, member order)."""
-    return evaluate_route(query, rho, oracle).aggregated
-
-
-def max_pair_gap(
-    query: EfGtpQuery, rho: PoiCombination, oracle: DistanceOracle
-) -> float:
-    """Largest pairwise difference between members' individual distances
-    (the envy gap, computed from the end legs like everywhere else)."""
-    return evaluate_route(query, rho, oracle).max_gap
-
-
 def evaluate_route(
     query: EfGtpQuery, rho: PoiCombination, oracle: DistanceOracle
 ) -> EvaluatedRoute:
-    """Evaluate one combination: per-member trips, total, gap, feasibility."""
+    """Evaluate one combination: per-member trips, total, gap, feasibility.
+    per_member[i] is member i's individual distance, aggregated the group's
+    aggregated distance, and max_gap the envy gap."""
     rho = tuple(rho)
     validate_combination(query.categories, rho)
     sources, destinations = query.group.sources, query.group.destinations

@@ -117,7 +117,7 @@ class DistanceOracle:
         with open(path, "wb") as f:
             f.write(MATRIX_MAGIC)
             f.write(struct.pack("<Q", n))
-            f.write(np.ascontiguousarray(self.matrix, dtype="<f8").tobytes())
+            f.write(np.ascontiguousarray(self.matrix, dtype="<f8").data)
 
 
 def build_oracle(
@@ -155,10 +155,14 @@ def build_oracle(
 def load_matrix(path: str, net: RoadNetwork) -> DistanceOracle:
     """Load a matrix cache written by save_matrix into a full-mode oracle.
 
+    A network with no vertices raises ValueError, as in build_oracle.
     Besides the magic, the vertex count and the payload length, row 0 must
     equal a fresh Dijkstra row of net bit for bit, so a cache written for
-    another network with the same vertex count is rejected.
+    another network with the same vertex count is rejected. The matrix is
+    a view of the bytes read, not a copy of them.
     """
+    if net.vertex_count == 0:
+        raise ValueError("network has no vertices")
     with open(path, "rb") as f:
         magic = f.read(len(MATRIX_MAGIC))
         if magic != MATRIX_MAGIC:
@@ -168,13 +172,13 @@ def load_matrix(path: str, net: RoadNetwork) -> DistanceOracle:
             raise ValueError(
                 f"{path}: matrix is for {n} vertices, network has {net.vertex_count}"
             )
-        payload = f.read()
-    expected = n * n * 8
+        expected = n * n * 8
+        payload = f.read(expected + 1)  # one buffer, where read() joins two; +1 finds extra bytes
     if len(payload) != expected:
         raise ValueError(
-            f"{path}: truncated matrix payload ({len(payload)} of {expected} bytes)"
+            f"{path}: bad matrix payload length ({len(payload)} bytes read, {expected} expected)"
         )
-    matrix = np.frombuffer(payload, dtype="<f8").reshape(n, n).astype(np.float64)
-    if n and not np.array_equal(matrix[0], _dijkstra(net.csgraph, directed=True, indices=0)):
+    matrix = np.frombuffer(payload, dtype="<f8").reshape(n, n).astype(np.float64, copy=False)
+    if not np.array_equal(matrix[0], _dijkstra(net.csgraph, directed=True, indices=0)):
         raise ValueError(f"{path}: matrix does not match this network (row 0 differs)")
     return DistanceOracle(net, matrix)

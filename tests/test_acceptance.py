@@ -26,9 +26,9 @@ from efgtp import (
     euclidean_gnn,
     euclidean_nn,
     europe_like,
+    evaluate_route,
     gap_distribution,
     generate_query,
-    max_pair_gap,
     minnesota_like,
     random_geometric_network,
     solve_exact,
@@ -162,7 +162,7 @@ def test_criterion_4_gap_cancellation():
             c1, c2, c3, c4 = query.categories.categories
             for v1, v4 in itertools.product(c1, c4):
                 seen = {
-                    max_pair_gap(query, (v1, a, b, v4), oracle)
+                    evaluate_route(query, (v1, a, b, v4), oracle).max_gap
                     for a, b in itertools.product(c2, c3)
                 }
                 assert len(seen) == 1

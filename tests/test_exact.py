@@ -18,18 +18,14 @@ from efgtp import (
     CategoryAssignment,
     EfGtpQuery,
     GroupSpec,
-    aggregated_distance,
     assign_categories,
     build_oracle,
     dump_query,
-    enumerate_combinations,
     europe_like,
     evaluate_route,
     gap_distribution,
     generate_query,
-    individual_distance,
     load_query,
-    max_pair_gap,
     min_additional_distance,
     parse_categories,
     parse_edge_list,
@@ -73,15 +69,15 @@ def slack_case():
 class TestRouteMetrics:
     def test_path_example(self, path_oracle):
         q = query([0, 4], [4, 0], [(1,), (3,)], 10.0)
-        assert individual_distance(q, 0, (1, 3), path_oracle) == 4.0
-        assert individual_distance(q, 1, (1, 3), path_oracle) == 8.0
-        assert aggregated_distance(q, (1, 3), path_oracle) == 12.0
-        assert max_pair_gap(q, (1, 3), path_oracle) == 4.0
+        r = evaluate_route(q, (1, 3), path_oracle)
+        assert r.per_member == (4.0, 8.0)
+        assert r.aggregated == 12.0
+        assert r.max_gap == 4.0
 
     def test_degenerate_everything_at_one_vertex(self, path_oracle):
         q = query([2], [2], [(2,)], 0.0)
-        assert individual_distance(q, 0, (2,), path_oracle) == 0.0
         r = evaluate_route(q, (2,), path_oracle)
+        assert r.per_member == (0.0,)
         assert r.aggregated == 0.0 and r.max_gap == 0.0 and r.feasible
 
     def test_identical_members_share_distance(self, path_oracle):
@@ -94,14 +90,13 @@ class TestRouteMetrics:
         q = query([0], [4], [(1, 2, 3)], 0.0)
         r = evaluate_route(q, (2,), path_oracle)
         assert r.max_gap == 0.0
-        assert r.aggregated == individual_distance(q, 0, (2,), path_oracle)
+        assert r.aggregated == r.per_member[0]
 
     def test_duplicating_members_doubles_aggregate(self, path_oracle):
         q1 = query([0, 4], [4, 0], [(1,), (3,)], 10.0)
         q2 = query([0, 4, 0, 4], [4, 0, 4, 0], [(1,), (3,)], 10.0)
-        assert aggregated_distance(q2, (1, 3), path_oracle) == 2.0 * aggregated_distance(
-            q1, (1, 3), path_oracle
-        )
+        r1 = evaluate_route(q1, (1, 3), path_oracle)
+        assert evaluate_route(q2, (1, 3), path_oracle).aggregated == 2.0 * r1.aggregated
 
     def test_aggregated_equals_member_sum(self):
         rng = np.random.default_rng(200)
@@ -109,16 +104,10 @@ class TestRouteMetrics:
             net = random_network(rng, 20)
             oracle = build_oracle(net)
             q = random_query(rng, net, k=2, per_cat=3, b=3, threshold=50.0)
-            for rho in enumerate_combinations(q.categories):
-                total = sum(
-                    individual_distance(q, i, rho, oracle) for i in range(q.b)
-                )
-                assert aggregated_distance(q, rho, oracle) == total
-
-    def test_member_index_validation(self, path_oracle):
-        q = query([0], [4], [(2,)], 0.0)
-        with pytest.raises(ValueError, match="member index"):
-            individual_distance(q, 1, (2,), path_oracle)
+            for rho in itertools.product(*q.categories.categories):
+                r = evaluate_route(q, rho, oracle)
+                assert len(r.per_member) == q.b
+                assert r.aggregated == sum(r.per_member)
 
     def test_combination_validation(self, path_oracle):
         q = query([0], [4], [(1, 2), (3,)], 0.0)
@@ -155,7 +144,7 @@ class TestPairGapIdentity:
             for v1 in cats[0]:
                 for vk in cats[3]:
                     gaps = {
-                        max_pair_gap(q, (v1, a, b, vk), oracle)
+                        evaluate_route(q, (v1, a, b, vk), oracle).max_gap
                         for a in cats[1]
                         for b in cats[2]
                     }
@@ -163,10 +152,6 @@ class TestPairGapIdentity:
 
 
 class TestEnumeration:
-    def test_single_combination(self):
-        cats = CategoryAssignment(((4,), (7,)))
-        assert list(enumerate_combinations(cats)) == [(4, 7)]
-
     def test_product_counts(self):
         rng = np.random.default_rng(203)
         for _ in range(50):
@@ -177,14 +162,9 @@ class TestEnumeration:
                 cats.append(tuple(range(start, start + s)))
                 start += s
             assignment = CategoryAssignment(tuple(cats))
-            combos = list(enumerate_combinations(assignment))
+            combos = list(itertools.product(*assignment.categories))
             assert len(combos) == math.prod(sizes) == assignment.combination_count()
             assert len(set(combos)) == len(combos)
-
-    def test_lexicographic_position_order(self):
-        cats = CategoryAssignment(((5, 1), (9, 2, 0)))
-        combos = list(enumerate_combinations(cats))
-        assert combos == [(5, 9), (5, 2), (5, 0), (1, 9), (1, 2), (1, 0)]
 
 
 def assert_identical(outcome, ref):
@@ -235,8 +215,8 @@ class TestSolveExact:
             out = solve_exact(q, oracle)
             assert out.feasible_count == q.categories.combination_count()
             best = min(
-                (aggregated_distance(q, rho, oracle) for rho in
-                 enumerate_combinations(q.categories))
+                evaluate_route(q, rho, oracle).aggregated
+                for rho in itertools.product(*q.categories.categories)
             )
             assert out.optimal.aggregated == best
 
@@ -461,7 +441,7 @@ class TestGapDistribution:
         dist = sorted(gap_distribution(q, oracle))
         full = sorted(
             evaluate_route(q, rho, oracle).max_gap
-            for rho in enumerate_combinations(q.categories)
+            for rho in itertools.product(*q.categories.categories)
         )
         # the pair distribution repeats once per interior choice
         interior = 3
@@ -476,7 +456,7 @@ class TestGapDistribution:
         dist = sorted(gap_distribution(q, oracle))
         full = sorted(
             evaluate_route(q, rho, oracle).max_gap
-            for rho in enumerate_combinations(q.categories)
+            for rho in itertools.product(*q.categories.categories)
         )
         assert dist == full
 
@@ -488,7 +468,7 @@ class TestDebugMatrix:
         out = solve_exact(q, path_oracle, debug_matrix=buf)
         rows = list(csv.reader(io.StringIO(buf.getvalue())))
         assert rows[0] == ["v1", "v2", "aggregated", "max_gap", "feasible"]
-        combos = list(enumerate_combinations(q.categories))
+        combos = list(itertools.product(*q.categories.categories))
         assert len(rows) == 1 + len(combos)
         net = path_oracle.net
         for row, rho in zip(rows[1:], combos):

@@ -1,6 +1,8 @@
 """Distance oracle vs an independent all-pairs reference, plus cache I/O."""
 
 import math
+import struct
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -13,6 +15,7 @@ from efgtp import (
     FULL,
     ON_DEMAND,
     CapacityError,
+    DistanceOracle,
     RoadNetwork,
     assign_categories,
     build_oracle,
@@ -173,6 +176,34 @@ def test_matrix_save_load_round_trip(tmp_path):
     assert again.dist(0, 14) == full.dist(0, 14)
 
 
+def test_saved_cache_format_is_byte_exact(tmp_path):
+    # magic, n as u64-LE, then n*n f64-LE row-major, whatever the memory order
+    net = random_geometric_network(40, 70, seed=5)
+    matrix = build_oracle(net, mode=FULL).matrix
+    expected = b"EFGTPDM1" + struct.pack("<Q", 40) + matrix.astype("<f8").tobytes()
+    for layout in (matrix, np.asfortranarray(matrix)):
+        path = tmp_path / "dist.bin"
+        DistanceOracle(net, layout).save_matrix(path)
+        assert path.read_bytes() == expected
+        assert np.array_equal(load_matrix(path, net).matrix, matrix)
+
+
+def test_load_matrix_keeps_one_copy(tmp_path):
+    net = random_geometric_network(600, 900, seed=3)
+    path = tmp_path / "dist.bin"
+    build_oracle(net, mode=FULL).save_matrix(path)
+    net.csgraph  # built outside the traced load
+    tracemalloc.start()
+    try:
+        oracle = load_matrix(path, net)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    payload = 600 * 600 * 8
+    assert peak < 1.5 * payload
+    assert oracle.dist(0, 599) == build_oracle(net).dist(0, 599)
+
+
 def test_save_requires_full_mode(tmp_path):
     rng = np.random.default_rng(109)
     net = random_network(rng, 10)
@@ -201,6 +232,17 @@ def test_load_matrix_validation(tmp_path):
     truncated.write_bytes(path.read_bytes()[:-16])
     with pytest.raises(ValueError, match="payload"):
         load_matrix(truncated, net)
+
+    overlong = tmp_path / "long.bin"
+    overlong.write_bytes(path.read_bytes() + bytes(8))
+    with pytest.raises(ValueError, match="payload"):
+        load_matrix(overlong, net)
+
+    # an n = 0 cache for a vertex-free network is refused like build_oracle
+    empty = tmp_path / "empty.bin"
+    empty.write_bytes(b"EFGTPDM1" + struct.pack("<Q", 0))
+    with pytest.raises(ValueError, match="network has no vertices"):
+        load_matrix(empty, RoadNetwork(0, (), ()))
 
     # same vertex count, other network: the distances give it away
     a = random_geometric_network(50, 80, seed=1)
