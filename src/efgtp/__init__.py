@@ -61,14 +61,12 @@ from .oracle import (
     CapacityError,
     DistanceOracle,
     build_oracle,
-    load_matrix,
 )
 from .rtree import bulk_load, euclidean_gnn, euclidean_nn
 from .synthetic import (
     europe_like,
     minnesota_like,
     random_geometric_network,
-    to_matrix_market,
 )
 
 __version__ = "0.1.0"
@@ -108,7 +106,6 @@ __all__ = [
     "group_nearest_neighbor",
     "is_connected",
     "largest_connected_component",
-    "load_matrix",
     "load_network",
     "load_query",
     "min_additional_distance",
@@ -124,6 +121,5 @@ __all__ = [
     "solve_exact",
     "solve_heuristic",
     "threshold_quantiles",
-    "to_matrix_market",
     "with_euclidean_weights",
 ]

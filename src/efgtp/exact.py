@@ -116,6 +116,14 @@ def _member_distances(s, chain, t) -> list[float]:
     return [x + y for x, y in zip(s, t)]
 
 
+def _left_sum(values) -> float:
+    """Left-to-right sum from 0.0; builtin sum is compensated from Python 3.12 on."""
+    total = 0.0
+    for v in values:
+        total += v
+    return total
+
+
 def _end_gap(s, t):
     """Envy gap from the end legs: max - min over members of s_i + t_i.
 
@@ -144,7 +152,7 @@ def _route(combo, s, chain, t, threshold: float) -> EvaluatedRoute:
     return EvaluatedRoute(
         combination=combo,
         per_member=tuple(vals),
-        aggregated=sum(vals),  # left to right in member order
+        aggregated=_left_sum(vals),  # in member order
         max_gap=gap,
         feasible=gap <= threshold,
     )
@@ -415,7 +423,7 @@ def _pruned_positions(
     combo = _combo(cats, pos)
     rows = oracle.rows(combo[:-1])
     chain = [float(row[v]) for row, v in zip(rows, combo[1:])]
-    ub = sum(_member_distances(tables.s_cols[pos[0]], chain, tables.t_cols[pos[-1]]))
+    ub = _left_sum(_member_distances(tables.s_cols[pos[0]], chain, tables.t_cols[pos[-1]]))
     cut = ub + _slack(query, tables, max(float(tables.members.max()), float(rows.max())), ub)
 
     def within(first_bound, bounds) -> list[list[int]]:
@@ -443,7 +451,7 @@ def _cheapest_feasible(tables: _Tables, feasible: np.ndarray, positions) -> tupl
     s_cols, t_cols = tables.s_cols, tables.t_cols
     if len(tables.cats) == 1:  # min keeps the first of equal keys
         firsts = np.flatnonzero(feasible).tolist()
-        return (min(firsts, key=lambda p: sum(_member_distances(s_cols[p], (), t_cols[p]))),)
+        return (min(firsts, key=lambda p: _left_sum(_member_distances(s_cols[p], (), t_cols[p]))),)
     best_agg, best_pos = math.inf, None
     *inner_legs, last_legs = tables.legs
     firsts, *interior = positions
@@ -465,7 +473,9 @@ def _cheapest_feasible(tables: _Tables, feasible: np.ndarray, positions) -> tupl
             row = last_legs[prev]
             for pk in lasts:
                 leg = row[pk]
-                agg = sum([(x + leg) + t for x, t in zip(vals, t_cols[pk])])
+                agg = 0.0  # _left_sum, inlined
+                for x, t in zip(vals, t_cols[pk]):
+                    agg += (x + leg) + t
                 if agg < best_agg:
                     best_agg, best_pos = agg, (p1, *mids, pk)
     return best_pos

@@ -8,7 +8,6 @@ bitwise equal.
 
 from __future__ import annotations
 
-import struct
 import threading
 from typing import Iterable, Optional
 
@@ -20,7 +19,6 @@ from .network import RoadNetwork, is_connected
 FULL = "full"
 ON_DEMAND = "on-demand"
 
-MATRIX_MAGIC = b"EFGTPDM1"
 DEFAULT_MAX_BYTES = 4 * 1024**3
 
 
@@ -40,7 +38,6 @@ class DistanceOracle:
 
     def __init__(self, net: RoadNetwork, matrix: Optional[np.ndarray] = None):
         self.net = net
-        self.matrix = matrix
         self.mode = ON_DEMAND if matrix is None else FULL
         self._rows: dict[int, np.ndarray] = {}
         if matrix is not None:
@@ -109,16 +106,6 @@ class DistanceOracle:
             row = self.row(u)
         return float(row[v])
 
-    def save_matrix(self, path: str) -> None:
-        """Write the full matrix cache: magic, n as u64-LE, n*n f64-LE row-major."""
-        if self.mode != FULL:
-            raise ValueError("matrix cache requires a full-matrix oracle")
-        n = self.net.vertex_count
-        with open(path, "wb") as f:
-            f.write(MATRIX_MAGIC)
-            f.write(struct.pack("<Q", n))
-            f.write(np.ascontiguousarray(self.matrix, dtype="<f8").data)
-
 
 def build_oracle(
     net: RoadNetwork,
@@ -150,35 +137,3 @@ def build_oracle(
             f"({n}x{n} float64), limit is {max_bytes}"
         )
     return DistanceOracle(net, _dijkstra(net.csgraph, directed=True))
-
-
-def load_matrix(path: str, net: RoadNetwork) -> DistanceOracle:
-    """Load a matrix cache written by save_matrix into a full-mode oracle.
-
-    A network with no vertices raises ValueError, as in build_oracle.
-    Besides the magic, the vertex count and the payload length, row 0 must
-    equal a fresh Dijkstra row of net bit for bit, so a cache written for
-    another network with the same vertex count is rejected. The matrix is
-    a view of the bytes read, not a copy of them.
-    """
-    if net.vertex_count == 0:
-        raise ValueError("network has no vertices")
-    with open(path, "rb") as f:
-        magic = f.read(len(MATRIX_MAGIC))
-        if magic != MATRIX_MAGIC:
-            raise ValueError(f"{path}: not a distance matrix cache (bad magic)")
-        (n,) = struct.unpack("<Q", f.read(8))
-        if n != net.vertex_count:
-            raise ValueError(
-                f"{path}: matrix is for {n} vertices, network has {net.vertex_count}"
-            )
-        expected = n * n * 8
-        payload = f.read(expected + 1)  # one buffer, where read() joins two; +1 finds extra bytes
-    if len(payload) != expected:
-        raise ValueError(
-            f"{path}: bad matrix payload length ({len(payload)} bytes read, {expected} expected)"
-        )
-    matrix = np.frombuffer(payload, dtype="<f8").reshape(n, n).astype(np.float64, copy=False)
-    if not np.array_equal(matrix[0], _dijkstra(net.csgraph, directed=True, indices=0)):
-        raise ValueError(f"{path}: matrix does not match this network (row 0 differs)")
-    return DistanceOracle(net, matrix)

@@ -1,11 +1,11 @@
 """Euclidean nearest-neighbor and group-nearest-neighbor picks by linear scan.
 
 `bulk_load` checks (vertex-id, x, y) entries and returns them as a list
-sorted by id; `euclidean_nn` and `euclidean_gnn` scan that list once. A
-point's distance to (qx, qy) is `math.hypot(x - qx, y - qy)`, a group
-distance is the sum of those over the query points in the given order
-starting from 0, and ties resolve to the smallest vertex id, matching the
-network-distance picks so the two modes are comparable.
+sorted by id; `euclidean_nn` scans that list once, `euclidean_gnn` once
+per query point. A point's distance to (qx, qy) is `math.hypot(x - qx,
+y - qy)`, a group distance is the sum of those over the query points,
+added left to right from 0.0, and ties resolve to the smallest vertex id,
+matching the network-distance picks so the two modes are comparable.
 
 The three names stay separate calls, rather than inline code in the
 heuristic, because the traced benchmark (`bench/spans.py`) times the
@@ -43,4 +43,8 @@ def euclidean_gnn(index: Sequence[Entry], points: Sequence[tuple[float, float]])
     pts = [(float(x), float(y)) for x, y in points]
     if not pts:
         raise ValueError("group query needs at least one point")
-    return min(index, key=lambda e: sum(math.hypot(e[1] - x, e[2] - y) for x, y in pts))[0]
+    # each score adds the points' distances left to right from 0.0, not by builtin sum
+    scores = [0.0] * len(index)
+    for x, y in pts:
+        scores = [d + math.hypot(e[1] - x, e[2] - y) for d, e in zip(scores, index)]
+    return index[min(range(len(index)), key=scores.__getitem__)][0]

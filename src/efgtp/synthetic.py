@@ -132,14 +132,3 @@ def europe_like() -> RoadNetwork:
 def minnesota_like() -> RoadNetwork:
     """Stand-in with the benchmark's Minnesota-graph shape: 2642 vertices, 3303 edges."""
     return random_geometric_network(2642, 3303, seed=2)
-
-
-def to_matrix_market(net: RoadNetwork) -> str:
-    """Symmetric coordinate MatrixMarket text (1-based ids, weights as values)."""
-    lines = [
-        "%%MatrixMarket matrix coordinate real symmetric",
-        f"{net.vertex_count} {net.vertex_count} {net.edge_count}",
-    ]
-    for u, v, w in net.edges:
-        lines.append(f"{u + 1} {v + 1} {float(w)!r}")
-    return "\n".join(lines) + "\n"

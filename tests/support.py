@@ -171,11 +171,20 @@ def linear_nn(entries, qx: float, qy: float) -> int:
     return best[1]
 
 
+def left_sum(values) -> float:
+    """values added left to right from 0.0, as the README's numerical
+    contract states (builtin sum is compensated from Python 3.12 on)."""
+    total = 0.0
+    for v in values:
+        total += v
+    return total
+
+
 def linear_gnn(entries, points) -> int:
     """Entry minimizing the summed Euclidean distance to all query points."""
     best = None
     for vid, x, y in entries:
-        key = (sum(math.hypot(x - px, y - py) for px, py in points), vid)
+        key = (left_sum(math.hypot(x - px, y - py) for px, py in points), vid)
         if best is None or key < best:
             best = key
     return best[1]

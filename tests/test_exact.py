@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import efgtp.exact
+import efgtp.rtree
 from efgtp import (
     FULL,
     ON_DEMAND,
@@ -20,7 +21,9 @@ from efgtp import (
     GroupSpec,
     assign_categories,
     build_oracle,
+    bulk_load,
     dump_query,
+    euclidean_gnn,
     europe_like,
     evaluate_route,
     gap_distribution,
@@ -29,10 +32,18 @@ from efgtp import (
     min_additional_distance,
     parse_categories,
     parse_edge_list,
+    random_geometric_network,
     solve_exact,
 )
 
-from support import brute_force_solve, floyd_warshall, random_network, random_query
+from support import (
+    brute_force_solve,
+    floyd_warshall,
+    left_sum,
+    linear_gnn,
+    random_network,
+    random_query,
+)
 
 
 def unit_path(n=5):
@@ -107,7 +118,7 @@ class TestRouteMetrics:
             for rho in itertools.product(*q.categories.categories):
                 r = evaluate_route(q, rho, oracle)
                 assert len(r.per_member) == q.b
-                assert r.aggregated == sum(r.per_member)
+                assert r.aggregated == left_sum(r.per_member)
 
     def test_combination_validation(self, path_oracle):
         q = query([0], [4], [(1, 2), (3,)], 0.0)
@@ -278,6 +289,38 @@ class TestNonIntegerWeights:
             assert out.optimal.max_gap <= q.envy_threshold
             assert out == solve_exact(q, oracle, faithful=True)
             assert evaluate_route(q, out.optimal.combination, oracle) == out.optimal
+
+
+def neumaier_sum(values):
+    """Builtin sum over floats as compensated from Python 3.12 on (Neumaier)."""
+    total = comp = 0.0
+    for v in values:
+        t = total + v
+        comp += (total - t) + v if abs(total) >= abs(v) else (v - t) + total
+        total = t
+    return total + comp
+
+
+def test_sums_stay_left_to_right_under_a_compensated_sum(monkeypatch):
+    """The README's contract sums left to right; a compensated builtin sum
+    must not change a bit of what the solver or the Euclidean pick gives."""
+    monkeypatch.setattr(efgtp.exact, "sum", neumaier_sum, raising=False)
+    monkeypatch.setattr(efgtp.rtree, "sum", neumaier_sum, raising=False)
+    net = random_geometric_network(60, 120, seed=9)
+    cats = assign_categories(net, 2, 4, seed=16)
+    q = generate_query(net, 3, cats, D=math.inf, seed=20)
+    ref = brute_force_solve(q, build_oracle(net, FULL).rows(range(net.vertex_count)))
+    assert ref.best_aggregated == 30723.9601839797  # compensated: 30723.960183979696
+    for faithful in (False, True):
+        out = solve_exact(q, build_oracle(net), faithful=faithful)
+        assert out.feasible_count == ref.feasible_count
+        assert out.optimal.combination == ref.best_combo
+        assert out.optimal.per_member == ref.best_members
+        assert out.optimal.aggregated == ref.best_aggregated
+    # the exact sums tie at 1e16 (id 0 wins); compensated, 1e16 + 2 loses to id 1
+    index = bulk_load([(0, 0.0, -1.0), (1, 0.0, 0.0)])
+    points = [(0.0, -1e16), (0.0, 0.0), (0.0, 0.0)]
+    assert euclidean_gnn(index, points) == linear_gnn(index, points) == 0
 
 
 class TestOracleStates:

@@ -187,7 +187,7 @@ def test_fast_faithful_and_brute_force_agree(instance):
         assert fast.min_gap_witness == brute.min_gap_combo
         assert fast.epsilon == brute.epsilon
     elif rule == "inf":
-        brute = brute_force_solve(q, build_oracle(net, FULL).matrix)
+        brute = brute_force_solve(q, build_oracle(net, FULL).rows(range(net.vertex_count)))
         assert fast.feasible_count == brute.feasible_count
         route = fast.optimal
         assert route.combination == brute.best_combo
@@ -227,7 +227,7 @@ def preset(request):
     return net, build_oracle(net, FULL)
 
 
-@pytest.mark.parametrize("k, per_category", [(2, 40), (3, 12), (4, 6)])
+@pytest.mark.parametrize("k, per_category", [(2, 40), (3, 12), (4, 6), (5, 4)])
 def test_presets_prune_cold_rows_to_the_same_bits(preset, k, per_category):
     # fresh (pruned), FULL and faithful solves agree; the fresh oracle
     # fetches no row outside the unpruned first and interior rows, and

@@ -22,7 +22,6 @@ from efgtp import (
     parse_categories,
     parse_coords,
     parse_edge_list,
-    to_matrix_market,
     with_euclidean_weights,
 )
 
@@ -110,15 +109,6 @@ class TestParseEdgeList:
             net = random_network(rng, int(rng.integers(2, 30)))
             again = parse_edge_list(format_edge_list(net))
             assert again == net
-
-    def test_matrix_market_round_trip(self):
-        rng = np.random.default_rng(8)
-        net = random_network(rng, 25)
-        again = parse_edge_list(to_matrix_market(net))
-        # external ids shift to 1-based tokens but the structure is identical
-        assert again.vertex_count == net.vertex_count
-        assert [e[:2] for e in again.edges] == [e[:2] for e in net.edges]
-        assert [e[2] for e in again.edges] == [e[2] for e in net.edges]
 
 
 class TestRoadNetworkValidation:

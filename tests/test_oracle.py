@@ -1,8 +1,6 @@
-"""Distance oracle vs an independent all-pairs reference, plus cache I/O."""
+"""Distance oracle vs an independent all-pairs reference."""
 
 import math
-import struct
-import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -15,7 +13,6 @@ from efgtp import (
     FULL,
     ON_DEMAND,
     CapacityError,
-    DistanceOracle,
     RoadNetwork,
     assign_categories,
     build_oracle,
@@ -25,11 +22,9 @@ from efgtp import (
     generate_query,
     is_connected,
     largest_connected_component,
-    load_matrix,
     load_network,
     min_additional_distance,
     parse_edge_list,
-    random_geometric_network,
     solve_exact,
     solve_heuristic,
 )
@@ -53,10 +48,11 @@ def test_full_mode_matches_on_demand():
     net = random_network(rng, 30)
     lazy = build_oracle(net, mode=ON_DEMAND)
     full = build_oracle(net, mode=FULL)
+    matrix = full.rows(range(net.vertex_count))
     for s in range(net.vertex_count):
         assert np.array_equal(lazy.row(s), full.row(s))
         for t in range(net.vertex_count):
-            assert lazy.dist(s, t) == full.matrix[s, t]
+            assert lazy.dist(s, t) == matrix[s, t]
 
 
 def test_symmetry_and_identity():
@@ -106,13 +102,14 @@ def test_dist_reads_the_row_of_its_first_vertex():
     # europe_like's weights round, and its matrix is not exactly symmetric
     net = europe_like()
     full = build_oracle(net, FULL)
-    diff = np.argwhere(full.matrix != full.matrix.T)
+    matrix = full.rows(range(net.vertex_count))
+    diff = np.argwhere(matrix != matrix.T)
     assert len(diff)
     for u, v in diff[:20].tolist():
         oracle = build_oracle(net)
         oracle.prefetch([v])
-        assert oracle.dist(u, v) == full.matrix[u, v] == oracle.row(u)[v]
-        assert full.dist(u, v) == full.matrix[u, v]
+        assert oracle.dist(u, v) == matrix[u, v] == oracle.row(u)[v]
+        assert full.dist(u, v) == matrix[u, v]
         assert sorted(oracle._rows) == sorted({u, v})
 
 
@@ -129,11 +126,10 @@ def test_unknown_mode_rejected():
         build_oracle(net, mode="ful")
 
 
-def test_vertex_validation(tmp_path):
+def test_vertex_validation():
     rng = np.random.default_rng(106)
     net = random_network(rng, 10)
-    build_oracle(net, FULL).save_matrix(tmp_path / "dist.bin")
-    oracles = (build_oracle(net), build_oracle(net, FULL), load_matrix(tmp_path / "dist.bin", net))
+    oracles = (build_oracle(net), build_oracle(net, FULL))
     for oracle in oracles:
         for bad in (-1, -3, 10):
             for read in (
@@ -163,95 +159,6 @@ def test_prefetch_prewarms():
             row[0] = 5.0
     assert np.array_equal(oracle.row(3), ref[3])
     assert oracle.dist(7, 11) == ref[7, 11]
-
-
-def test_matrix_save_load_round_trip(tmp_path):
-    rng = np.random.default_rng(108)
-    net = random_network(rng, 15)
-    full = build_oracle(net, mode=FULL)
-    path = tmp_path / "dist.bin"
-    full.save_matrix(path)
-    again = load_matrix(path, net)
-    assert np.array_equal(again.matrix, full.matrix)
-    assert again.dist(0, 14) == full.dist(0, 14)
-
-
-def test_saved_cache_format_is_byte_exact(tmp_path):
-    # magic, n as u64-LE, then n*n f64-LE row-major, whatever the memory order
-    net = random_geometric_network(40, 70, seed=5)
-    matrix = build_oracle(net, mode=FULL).matrix
-    expected = b"EFGTPDM1" + struct.pack("<Q", 40) + matrix.astype("<f8").tobytes()
-    for layout in (matrix, np.asfortranarray(matrix)):
-        path = tmp_path / "dist.bin"
-        DistanceOracle(net, layout).save_matrix(path)
-        assert path.read_bytes() == expected
-        assert np.array_equal(load_matrix(path, net).matrix, matrix)
-
-
-def test_load_matrix_keeps_one_copy(tmp_path):
-    net = random_geometric_network(600, 900, seed=3)
-    path = tmp_path / "dist.bin"
-    build_oracle(net, mode=FULL).save_matrix(path)
-    net.csgraph  # built outside the traced load
-    tracemalloc.start()
-    try:
-        oracle = load_matrix(path, net)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    payload = 600 * 600 * 8
-    assert peak < 1.5 * payload
-    assert oracle.dist(0, 599) == build_oracle(net).dist(0, 599)
-
-
-def test_save_requires_full_mode(tmp_path):
-    rng = np.random.default_rng(109)
-    net = random_network(rng, 10)
-    oracle = build_oracle(net, mode=ON_DEMAND)
-    with pytest.raises(ValueError, match="full"):
-        oracle.save_matrix(tmp_path / "nope.bin")
-
-
-def test_load_matrix_validation(tmp_path):
-    rng = np.random.default_rng(110)
-    net = random_network(rng, 10)
-    full = build_oracle(net, mode=FULL)
-    path = tmp_path / "dist.bin"
-    full.save_matrix(path)
-
-    other = random_network(rng, 11)
-    with pytest.raises(ValueError, match="matrix is for 10 vertices"):
-        load_matrix(path, other)
-
-    bad_magic = tmp_path / "magic.bin"
-    bad_magic.write_bytes(b"WRONGMAG" + path.read_bytes()[8:])
-    with pytest.raises(ValueError, match="magic"):
-        load_matrix(bad_magic, net)
-
-    truncated = tmp_path / "short.bin"
-    truncated.write_bytes(path.read_bytes()[:-16])
-    with pytest.raises(ValueError, match="payload"):
-        load_matrix(truncated, net)
-
-    overlong = tmp_path / "long.bin"
-    overlong.write_bytes(path.read_bytes() + bytes(8))
-    with pytest.raises(ValueError, match="payload"):
-        load_matrix(overlong, net)
-
-    # an n = 0 cache for a vertex-free network is refused like build_oracle
-    empty = tmp_path / "empty.bin"
-    empty.write_bytes(b"EFGTPDM1" + struct.pack("<Q", 0))
-    with pytest.raises(ValueError, match="network has no vertices"):
-        load_matrix(empty, RoadNetwork(0, (), ()))
-
-    # same vertex count, other network: the distances give it away
-    a = random_geometric_network(50, 80, seed=1)
-    b = random_geometric_network(50, 80, seed=2)
-    build_oracle(a, mode=FULL).save_matrix(path)
-    assert load_matrix(path, a).dist(0, 1) == build_oracle(a).dist(0, 1)
-    with pytest.raises(ValueError, match="matrix does not match this network") as err:
-        load_matrix(path, b)
-    assert str(path) in str(err.value)
 
 
 def test_concurrent_queries_consistent():
@@ -317,12 +224,8 @@ def europe():
 
 
 @pytest.fixture(scope="module")
-def europe_full(europe, tmp_path_factory):
-    """A full-mode oracle and its matrix reloaded through load_matrix."""
-    full = build_oracle(europe, FULL)
-    path = tmp_path_factory.mktemp("matrix") / "dist.bin"
-    full.save_matrix(path)
-    return full, load_matrix(path, europe)
+def europe_full(europe):
+    return build_oracle(europe, FULL)
 
 
 class TestRows:
@@ -358,7 +261,7 @@ class TestRows:
             efgtp.oracle, "_dijkstra", lambda *a, **kw: calls.append(1) or dijkstra(*a, **kw)
         )
         lazy = build_oracle(europe)
-        for oracle in (lazy, *europe_full):
+        for oracle in (lazy, europe_full):
             for bad in (-1, -3, 1174):
                 with pytest.raises(ValueError, match=f"vertex id {bad} out of range"):
                     oracle.rows([1, bad, 2])
@@ -369,7 +272,7 @@ class TestRows:
         assert calls == [] and lazy._rows == {}
 
     def test_read_only(self, europe, europe_full):
-        for oracle in (build_oracle(europe), *europe_full):
+        for oracle in (build_oracle(europe), europe_full):
             rows = oracle.rows([0, 7])
             with pytest.raises(ValueError):
                 rows[0, 0] = 5.0
@@ -412,7 +315,7 @@ def test_rows_bitwise_equal_to_undirected_dijkstra():
     def check(case):
         net, sources = case
         ref = dijkstra(net.csgraph, directed=False)
-        assert np.array_equal(bits(build_oracle(net, FULL).matrix), bits(ref))
+        assert np.array_equal(bits(build_oracle(net, FULL).rows(range(net.vertex_count))), bits(ref))
         assert np.array_equal(bits(build_oracle(net).rows(sources)), bits(ref[sources]))
         single = build_oracle(net)
         for s in sources:
