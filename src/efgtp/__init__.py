@@ -13,7 +13,6 @@ from .exact import (
     EvaluatedRoute,
     PoiCombination,
     SolveOutcome,
-    dump_query,
     evaluate_route,
     gap_distribution,
     load_query,
@@ -24,12 +23,10 @@ from .experiments import (
     BenchRecord,
     SweepConfig,
     SweepRecord,
-    bench_from_csv,
     bench_to_csv,
     compare_solvers,
     generate_query,
     load_network,
-    records_from_csv,
     records_to_csv,
     run_sweep,
     threshold_quantiles,
@@ -50,10 +47,8 @@ from .network import (
     format_edge_list,
     is_connected,
     largest_connected_component,
-    parse_categories,
     parse_coords,
     parse_edge_list,
-    with_euclidean_weights,
 )
 from .oracle import (
     FULL,
@@ -88,13 +83,11 @@ __all__ = [
     "SweepConfig",
     "SweepRecord",
     "assign_categories",
-    "bench_from_csv",
     "bench_to_csv",
     "build_oracle",
     "bulk_load",
     "compare_solvers",
     "component_labels",
-    "dump_query",
     "euclidean_gnn",
     "euclidean_nn",
     "europe_like",
@@ -111,15 +104,12 @@ __all__ = [
     "min_additional_distance",
     "minnesota_like",
     "nearest_neighbor",
-    "parse_categories",
     "parse_coords",
     "parse_edge_list",
     "random_geometric_network",
-    "records_from_csv",
     "records_to_csv",
     "run_sweep",
     "solve_exact",
     "solve_heuristic",
     "threshold_quantiles",
-    "with_euclidean_weights",
 ]

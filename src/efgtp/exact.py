@@ -641,14 +641,3 @@ def load_query(text: str, net: RoadNetwork) -> EfGtpQuery:
     group = GroupSpec(*_resolve_ids(net, members))
     cats = _resolve_ids(net, (("query 'categories'", c) for c in doc["categories"]), unique=True)
     return EfGtpQuery(group, CategoryAssignment(cats), float(doc["D"]))
-
-
-def dump_query(query: EfGtpQuery, net: RoadNetwork) -> str:
-    ext = net.external_ids
-    doc = {
-        "sources": [ext[v] for v in query.group.sources],
-        "destinations": [ext[v] for v in query.group.destinations],
-        "categories": [[ext[v] for v in cat] for cat in query.categories.categories],
-        "D": query.envy_threshold,
-    }
-    return json.dumps(doc, indent=2) + "\n"

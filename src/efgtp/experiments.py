@@ -77,6 +77,11 @@ class SweepConfig:
         unknown = set(self.solvers) - set(SOLVERS)
         if not self.solvers or unknown:
             raise ValueError(f"solvers must be a nonempty subset of {SOLVERS}")
+        for key in ("k_values", "seeds", "solvers"):  # a repeat only re-runs a cell warm
+            values = getattr(self, key)
+            for i, v in enumerate(values):
+                if v in values[:i]:
+                    raise ValueError(f"config key {key!r} lists {v!r} more than once")
 
     @staticmethod
     def from_json(text: str) -> "SweepConfig":
@@ -99,10 +104,6 @@ class SweepConfig:
             if isinstance(value, list):
                 doc[key] = tuple(value)
         return SweepConfig(**doc)
-
-    def to_json(self) -> str:
-        doc = {f.name: getattr(self, f.name) for f in fields(self)}
-        return json.dumps({k: v for k, v in doc.items() if v is not None}, indent=2) + "\n"
 
 
 # the JSON type of each config key, and its wording in errors
@@ -329,20 +330,9 @@ def _fmt(value) -> str:
     return str(value)
 
 
-_PARSERS = {
-    "str": str,
-    "int": int,
-    "float": float,
-    "Optional[float]": lambda s: float(s) if s else None,
-    "bool": lambda s: bool(int(s)),
-}
-
-
-def _csv_codec(cls, kind: str):
-    """(to_csv, from_csv) for a record dataclass; the header is its field
-    names in order, and each cell is parsed by its field's annotation."""
+def _csv_writer(cls):
+    """to_csv for a record dataclass; the header is its field names in order."""
     names = [f.name for f in fields(cls)]
-    parsers = [_PARSERS[f.type] for f in fields(cls)]
 
     def to_csv(records: Sequence[cls]) -> str:
         buf = io.StringIO()
@@ -351,21 +341,8 @@ def _csv_codec(cls, kind: str):
         w.writerows([_fmt(getattr(r, name)) for name in names] for r in records)
         return buf.getvalue()
 
-    def from_csv(text: str) -> list[cls]:
-        rows = list(csv.reader(io.StringIO(text)))
-        if not rows or rows[0] != names:
-            raise ValueError(f"unrecognized {kind} CSV header")
-        out = []
-        for i, row in enumerate(rows[1:], start=1):
-            if len(row) != len(names):
-                raise ValueError(
-                    f"{kind} CSV record {i} has {len(row)} fields, expected {len(names)}"
-                )
-            out.append(cls(*(parse(v) for parse, v in zip(parsers, row))))
-        return out
-
-    return to_csv, from_csv
+    return to_csv
 
 
-records_to_csv, records_from_csv = _csv_codec(SweepRecord, "sweep")
-bench_to_csv, bench_from_csv = _csv_codec(BenchRecord, "bench")
+records_to_csv = _csv_writer(SweepRecord)
+bench_to_csv = _csv_writer(BenchRecord)

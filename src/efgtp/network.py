@@ -201,7 +201,7 @@ def _densify(
     return list(ids), tuple((u, v, w) for u, v, w in edges)
 
 
-def _edge_lines(text: str, weighted: bool) -> Iterator[tuple[str, str, float]]:
+def _edge_lines(text: str) -> Iterator[tuple[str, str, float]]:
     """(u_token, v_token, weight) per edge line of an edge list, self-loops skipped."""
     size_line_pending = False
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -222,9 +222,6 @@ def _edge_lines(text: str, weighted: bool) -> Iterator[tuple[str, str, float]]:
         u_tok, v_tok = parts[0], parts[1]
         if u_tok == v_tok:
             continue  # self-loop
-        if not weighted:
-            yield u_tok, v_tok, 1.0
-            continue
         if len(parts) < 3:
             raise ValueError(f"line {lineno}: missing edge weight in {line!r}")
         try:
@@ -238,16 +235,15 @@ def _edge_lines(text: str, weighted: bool) -> Iterator[tuple[str, str, float]]:
         yield u_tok, v_tok, w
 
 
-def parse_edge_list(text: str, weighted: bool = True) -> RoadNetwork:
-    """Parse a line-oriented edge list (`u v` or `u v w`) into a RoadNetwork.
+def parse_edge_list(text: str) -> RoadNetwork:
+    """Parse a line-oriented edge list (`u v w`) into a RoadNetwork.
 
     Lines starting with '%' or '#' are comments. A MatrixMarket banner makes
     the following size line be skipped. Vertex tokens are remapped to dense
     0-based ids in first-appearance order; parallel edges collapse to the
-    minimum weight; self-loops are dropped. With weighted=False every edge
-    gets unit weight and any third column is ignored.
+    minimum weight; self-loops are dropped.
     """
-    labels, edges = _densify(_edge_lines(text, weighted))
+    labels, edges = _densify(_edge_lines(text))
     if not edges:
         raise ValueError("empty input: no edges found")
     return RoadNetwork(vertex_count=len(labels), edges=edges, external_ids=tuple(labels))
@@ -308,54 +304,22 @@ def format_coords(net: RoadNetwork) -> str:
 
 def _resolve_ids(net: RoadNetwork, rows, unique: bool = False) -> tuple[tuple[int, ...], ...]:
     """Internal ids of written external ids, one tuple per (place, ids) row.
-    Errors start with the place (a query key, a line) and name the id as
-    written. With unique, no id repeats over all rows (20 and "20" are one)."""
-    seen: dict[str, str] = {}  # with unique: id -> the place it first appeared
+    Errors start with the place (a query key) and name the id as written.
+    With unique, no id repeats over all rows (20 and "20" are one)."""
+    seen: set[str] = set()  # with unique: the ids so far
     out = []
     for place, ids in rows:
         out.append([])
         for tok in map(str, ids):
             if tok in seen:
-                again = "more than once" if seen[tok] == place else f"again (first on {seen[tok]})"
-                raise ValueError(f"{place} lists vertex {tok!r} {again}")
+                raise ValueError(f"{place} lists vertex {tok!r} more than once")
             if unique:
-                seen[tok] = place
+                seen.add(tok)
             try:
                 out[-1].append(net.internal_id(tok))
             except KeyError:
                 raise ValueError(f"{place}: unknown vertex id {tok!r}") from None
     return tuple(map(tuple, out))
-
-
-def parse_categories(text: str, net: RoadNetwork) -> CategoryAssignment:
-    """Parse a category file: its i-th content line holds the external ids
-    of category i. Blank lines and '%' or '#' comment lines are skipped."""
-    rows = [
-        (f"line {lineno}", line.split())
-        for lineno, line in enumerate(map(str.strip, text.splitlines()), start=1)
-        if line and not line.startswith(("%", "#"))
-    ]
-    if not rows:
-        raise ValueError("empty category file")
-    return CategoryAssignment(_resolve_ids(net, rows, unique=True))
-
-
-def with_euclidean_weights(net: RoadNetwork) -> RoadNetwork:
-    """Replace every edge weight with the Euclidean endpoint distance."""
-    if net.coords is None:
-        raise ValueError("Euclidean weights require vertex coordinates")
-    new_edges = []
-    for u, v, _ in net.edges:
-        dx = net.coords[u, 0] - net.coords[v, 0]
-        dy = net.coords[u, 1] - net.coords[v, 1]
-        w = math.hypot(dx, dy)
-        if w <= 0.0:
-            raise ValueError(
-                f"edge ({net.external_ids[u]}, {net.external_ids[v]}) has coincident "
-                "endpoints; Euclidean weight would not be positive"
-            )
-        new_edges.append((u, v, w))
-    return replace(net, edges=tuple(new_edges))
 
 
 def component_labels(net: RoadNetwork) -> tuple[np.ndarray, int]:

@@ -1,12 +1,13 @@
 """End-to-end command tests driven through main(argv) with pinned outputs."""
 
+import csv
 import json
 import re
 from pathlib import Path
 
 import pytest
 
-from efgtp import bench_from_csv, europe_like, format_edge_list, records_from_csv
+from efgtp import europe_like, format_edge_list
 from efgtp.cli import main
 from efgtp.heuristic import INDEX_MODES
 
@@ -168,6 +169,11 @@ class TestSolveHeuristic:
         assert choices == "euclidean"
 
 
+def read_csv(path):
+    with open(path, newline="") as f:
+        return list(csv.DictReader(f))
+
+
 def write_config(tmp_path, **overrides):
     doc = {
         "dataset": GRAPH,
@@ -191,7 +197,7 @@ class TestSweepAndBench:
             capsys, "sweep", "--config", write_config(tmp_path), "--out", str(out_path)
         )
         assert code == 0
-        records = records_from_csv(out_path.read_text())
+        records = read_csv(out_path)
         assert len(records) == 2 * 2 * 3 * 2
         assert out.strip() == f"wrote {len(records)} records to {out_path}"
 
@@ -203,7 +209,7 @@ class TestSweepAndBench:
             "--out", str(out_path),
         )
         assert code == 0
-        assert len(records_from_csv(out_path.read_text())) == 24
+        assert len(read_csv(out_path)) == 24
 
     def test_bench_writes_csv(self, capsys, tmp_path):
         out_path = tmp_path / "bench.csv"
@@ -213,9 +219,9 @@ class TestSweepAndBench:
         Path(cfg).write_text(json.dumps(del_quantiles))
         code, out, _ = run(capsys, "bench", "--config", cfg, "--out", str(out_path))
         assert code == 0
-        records = bench_from_csv(out_path.read_text())
+        records = read_csv(out_path)
         assert len(records) == 2 * 2 * 2
-        assert all(r.ratio is None or r.ratio >= 1.0 for r in records)
+        assert all(r["ratio"] == "" or float(r["ratio"]) >= 1.0 for r in records)
 
     def test_bench_capacity_guard_exits_3(self, capsys, tmp_path):
         cfg = write_config(tmp_path, per_category=100, k_values=[4])
@@ -401,6 +407,13 @@ class TestExitCodes:
         code, _, err = run(capsys, "sweep", "--config", cfg, "--out", str(tmp_path / "o.csv"))
         assert code == 2
         assert "positive" in err
+
+    def test_repeated_config_value(self, capsys, tmp_path):
+        cfg = write_config(tmp_path, seeds=[1, 2, 1])
+        code, out, err = run(capsys, "sweep", "--config", cfg, "--out", str(tmp_path / "o.csv"))
+        assert code == 2
+        assert err == "error: config key 'seeds' lists 1 more than once\n" and out == ""
+        assert not (tmp_path / "o.csv").exists()
 
     def test_help_exits_zero(self, capsys):
         code, out, err = run(capsys, "--help")

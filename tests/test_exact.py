@@ -22,7 +22,6 @@ from efgtp import (
     assign_categories,
     build_oracle,
     bulk_load,
-    dump_query,
     euclidean_gnn,
     europe_like,
     evaluate_route,
@@ -30,7 +29,6 @@ from efgtp import (
     generate_query,
     load_query,
     min_additional_distance,
-    parse_categories,
     parse_edge_list,
     random_geometric_network,
     solve_exact,
@@ -567,9 +565,11 @@ class TestQueryJson:
     def test_round_trip(self, path_oracle):
         net = path_oracle.net
         q = query([0, 4], [4, 0], [(1, 2), (3,)], 6.5)
-        text = dump_query(q, net)
-        again = load_query(text, net)
-        assert again == q
+        text = (
+            '{\n  "sources": ["0", "4"],\n  "destinations": ["4", "0"],\n'
+            '  "categories": [["1", "2"], ["3"]],\n  "D": 6.5\n}\n'
+        )
+        assert load_query(text, net) == q
 
     def test_external_ids_resolved(self):
         net = parse_edge_list("alpha beta 1\nbeta gamma 2\n")
@@ -594,17 +594,18 @@ class TestQueryJson:
             load_query(doc, path_oracle.net)
 
     @pytest.mark.parametrize(
-        "categories",
-        [[["30", 20], [50], ["40"]], [[10, "20", 30, "40", 50]], [["50"], ["10"]]],
+        "categories, expected",
+        [
+            ([["30", 20], [50], ["40"]], ((2, 1), (4,), (3,))),
+            ([[10, "20", 30, "40", 50]], ((0, 1, 2, 3, 4),)),
+            ([["50"], ["10"]], ((4,), (0,))),
+        ],
         ids=["mixed", "one-category", "endpoints"],
     )
-    def test_categories_read_alike_from_query_and_category_file(self, categories):
+    def test_categories_read_in_written_order(self, categories, expected):
         net = parse_edge_list("10 20 1\n20 30 1\n30 40 1\n40 50 1\n")
         doc = {"sources": ["10"], "destinations": ["50"], "categories": categories, "D": 1}
-        lines = "".join(" ".join(map(str, cat)) + "\n\n# next\n" for cat in categories)
-        from_query = load_query(json.dumps(doc), net).categories
-        assert from_query == parse_categories(lines, net)
-        assert from_query.k == len(categories)
+        assert load_query(json.dumps(doc), net).categories == CategoryAssignment(expected)
 
     def test_threshold_validation(self):
         with pytest.raises(ValueError, match="nonnegative"):

@@ -2,7 +2,6 @@
 
 import hashlib
 import math
-import re
 
 import numpy as np
 import pytest
@@ -19,10 +18,8 @@ from efgtp import (
     is_connected,
     largest_connected_component,
     minnesota_like,
-    parse_categories,
     parse_coords,
     parse_edge_list,
-    with_euclidean_weights,
 )
 
 from support import random_network
@@ -54,13 +51,6 @@ class TestParseEdgeList:
         text = "# heading\n\n% more\n  a b 1\n\n"
         net = parse_edge_list(text)
         assert net.edge_count == 1
-
-    def test_unweighted_mode(self):
-        net = parse_edge_list("a b\nb c\n", weighted=False)
-        assert all(w == 1.0 for _, _, w in net.edges)
-        # third column ignored when present
-        net2 = parse_edge_list("a b 7\n", weighted=False)
-        assert net2.edges[0][2] == 1.0
 
     def test_missing_weight_errors(self):
         with pytest.raises(ValueError, match="line 1.*weight"):
@@ -196,21 +186,6 @@ class TestCoords:
         with pytest.raises(ValueError, match=r"^line 3: second coordinate line for id '1'$"):
             parse_coords("0 0 0\n1 3 4\n1 5 6\n", net)
 
-    def test_euclidean_weights(self):
-        net = path_network(3).with_coords(np.array([[0.0, 0.0], [3.0, 4.0], [3.0, 5.0]]))
-        out = with_euclidean_weights(net)
-        assert out.edges[0][2] == 5.0
-        assert out.edges[1][2] == 1.0
-
-    def test_euclidean_weights_need_coords(self):
-        with pytest.raises(ValueError, match="coordinates"):
-            with_euclidean_weights(path_network(3))
-
-    def test_euclidean_weights_coincident_points(self):
-        net = path_network(2).with_coords(np.zeros((2, 2)))
-        with pytest.raises(ValueError, match="coincident"):
-            with_euclidean_weights(net)
-
 
 class TestCategories:
     def test_assignment_invariants(self):
@@ -228,29 +203,6 @@ class TestCategories:
         assert cats.k == 3
         assert cats.sizes() == (2, 3, 1)
         assert cats.combination_count() == 6
-
-    def test_parse_categories(self):
-        net = path_network(6)
-        cats = parse_categories("# shops\n0 2\n3 4 5\n", net)
-        assert cats.categories == ((0, 2), (3, 4, 5))
-        with pytest.raises(ValueError, match=r"^line 4: unknown vertex id 'nope'$"):
-            parse_categories("# shops\n\n0\n3 nope\n", net)
-        with pytest.raises(ValueError, match="empty category file"):
-            parse_categories("# only comments\n", net)
-
-    @pytest.mark.parametrize(
-        "text, message",
-        [
-            ("20\n20\n", "line 2 lists vertex '20' again (first on line 1)"),
-            ("20 20\n", "line 1 lists vertex '20' more than once"),
-            ("# a\n30 20\n\n% b\n40 20\n", "line 5 lists vertex '20' again (first on line 2)"),
-        ],
-        ids=["across-lines", "within-a-line", "after-comments"],
-    )
-    def test_repeated_id_named_as_written(self, text, message):
-        net = parse_edge_list("10 20 1\n20 30 1\n30 40 1\n")
-        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-            parse_categories(text, net)
 
     def test_group_spec(self):
         with pytest.raises(ValueError, match="equal length"):
