@@ -272,8 +272,18 @@ def run_sweep(config: SweepConfig, net: Optional[RoadNetwork] = None) -> list[Sw
 
     The (k, seed) instance is fixed across the threshold grid, so exact-solver
     rows show non-decreasing feasible counts and constant D + epsilon on the
-    infeasible prefix.
+    infeasible prefix. With exact-faithful listed, a largest instance over
+    BENCH_COMBINATION_GUARD combinations raises CapacityError before any cell.
     """
+    if "exact-faithful" in config.solvers:
+        k = max(config.k_values)
+        total = config.per_category**k
+        if total > BENCH_COMBINATION_GUARD:
+            raise CapacityError(
+                f"exact-faithful would enumerate per_category ** k = "
+                f"{config.per_category} ** {k} = {total} combinations "
+                f"(> {BENCH_COMBINATION_GUARD}); reduce per_category or k"
+            )
     records = [
         SweepRecord(*cell, solver, *_sweep_columns(q, result), ms)
         for cell, q, results in _cells(config, net, config.solvers)

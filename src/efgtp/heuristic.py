@@ -6,6 +6,10 @@ predecessor, and the last POI is the GNN of the destinations — two GNN
 queries and max(k - 2, 0) NN queries total. The result is evaluated with
 the same machinery as the exhaustive solver; feasibility against the envy
 threshold is reported, never enforced.
+
+Network picks read CategoryAssignment.sorted_ids, built once per
+assignment, so a repeated solve of the same query does not re-convert its
+categories; Euclidean picks read the category tuples.
 """
 
 from __future__ import annotations
@@ -41,13 +45,15 @@ def _pick(points: Sequence[int], candidates: Sequence[int], oracle: DistanceOrac
 
     The sum starts from 0 and adds the points' rows in the given order;
     ties break to the smallest id. Every candidate id is range-checked.
+    Candidates may come in any order and are never written: the pick sorts
+    a copy, which costs little when they already ascend, as
+    CategoryAssignment.sorted_ids do.
     """
     if not len(candidates):
         raise ValueError("empty candidate set")
     if not len(points):
         raise ValueError("empty query point list")
-    cands = np.array(candidates)  # a copy: the in-place sort leaves the caller's array alone
-    cands.sort()
+    cands = np.sort(candidates)
     oracle._check(int(cands[0]))
     oracle._check(int(cands[-1]))
     oracle.prefetch(points)  # cold rows in one Dijkstra call
@@ -119,6 +125,7 @@ def solve_heuristic(
                 _category_points(oracle, cat), coords[point, 0], coords[point, 1]
             )
     else:
+        cats = query.categories.sorted_ids  # built once per assignment
         oracle.prefetch(sources + destinations)  # every member row in one Dijkstra call
 
         def gnn(points, cat):

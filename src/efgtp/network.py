@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from collections.abc import Hashable, Iterable, Iterator
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -19,6 +20,8 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
 Edge = tuple[int, int, float]
+
+_INT64_MAX = np.iinfo(np.int64).max
 
 
 @dataclass(eq=False)
@@ -114,7 +117,13 @@ class RoadNetwork:
 @dataclass(frozen=True)
 class CategoryAssignment:
     """Ordered POI categories; position within a category is significant
-    for enumeration order and tie-breaking."""
+    for enumeration order and tie-breaking.
+
+    sorted_ids holds each category's ids as a read-only ascending int64
+    array, built on first read and kept for the assignment's lifetime
+    (8 bytes per POI). It is not a field, so equality and hashing still
+    read the categories alone.
+    """
 
     categories: tuple[tuple[int, ...], ...]
 
@@ -128,6 +137,8 @@ class CategoryAssignment:
             for v in cat:
                 if v < 0:
                     raise ValueError(f"category {i} has negative vertex id {v}")
+                if v > _INT64_MAX:  # sorted_ids stores int64
+                    raise ValueError(f"category {i} has vertex id {v} beyond the int64 range")
                 if v in seen:
                     raise ValueError(f"vertex {v} appears in more than one category")
                 seen.add(v)
@@ -142,10 +153,19 @@ class CategoryAssignment:
     def combination_count(self) -> int:
         return math.prod(self.sizes())
 
+    @cached_property
+    def sorted_ids(self) -> tuple[np.ndarray, ...]:
+        out = []
+        for cat in self.categories:
+            ids = np.sort(np.array(cat, dtype=np.int64))
+            ids.setflags(write=False)
+            out.append(ids)
+        return tuple(out)
+
     def validate_against(self, net: RoadNetwork) -> None:
         n = net.vertex_count
-        for cat in self.categories:
-            if max(cat) >= n:
+        for cat, ids in zip(self.categories, self.sorted_ids):
+            if ids[-1] >= n:
                 bad = next(v for v in cat if v >= n)  # the first offender
                 raise ValueError(f"category vertex {bad} not in network")
 

@@ -229,6 +229,14 @@ class TestSweepAndBench:
         assert code == 3
         assert "error:" in err and "reduce per_category or k" in err
 
+    def test_sweep_faithful_guard_exits_3(self, capsys, tmp_path):
+        cfg = write_config(tmp_path, per_category=100, k_values=[1, 4], solvers=["exact-faithful"])
+        out_path = tmp_path / "x.csv"
+        code, out, err = run(capsys, "sweep", "--config", cfg, "--out", str(out_path))
+        assert code == 3 and out == ""
+        assert "error: exact-faithful would enumerate per_category ** k = 100 ** 4" in err
+        assert not out_path.exists()
+
 
 class TestExitCodes:
     def test_missing_required_argument(self, capsys):

@@ -192,6 +192,21 @@ class TestRunSweep:
         assert len(set(keys)) == len(keys)
         assert all(r.dataset == "synthetic" and r.b == 2 for r in records)
 
+    def test_faithful_guard_refuses_before_the_first_cell(self, net25):
+        # net25 has too few vertices for 100 POIs per category, so any cell
+        # that started would raise ValueError from assign_categories instead
+        cfg = config(per_category=100, k_values=(1, 4), solvers=("exact", "exact-faithful"))
+        with pytest.raises(
+            CapacityError,
+            match=r"^exact-faithful would enumerate per_category \*\* k = 100 \*\* 4 = "
+            r"100000000 combinations \(> 10000000\); reduce per_category or k$",
+        ):
+            run_sweep(cfg, net=net25)
+        # the exact scan is not guarded, and 10 ** 7 sits at the limit
+        for per, k, solvers in ((100, 4, ("exact",)), (10, 7, ("exact-faithful",))):
+            with pytest.raises(ValueError, match="insufficient vertices"):
+                run_sweep(config(per_category=per, k_values=(k,), solvers=solvers), net=net25)
+
     def test_exact_rows_semantics(self, net25):
         records = [r for r in run_sweep(config(), net=net25) if r.solver == "exact"]
         by_cell = {}

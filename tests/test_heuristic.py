@@ -324,6 +324,56 @@ class TestSolveHeuristic:
                     for oracle in (build_oracle(net), warm, full):
                         assert evaluate_route(q, fresh.combination, oracle) == fresh.route
 
+    def test_matches_pure_python_greedy_with_ties(self):
+        # integer weights make exact distance ties common; random_query lists
+        # each category in shuffled order, so the picks cannot lean on it
+        rng = np.random.default_rng(312)
+        ties = shuffled = 0
+        for k in (1, 2, 3, 4):
+            for b in (1, 3):
+                for _ in range(10):
+                    net = random_network(rng, 40)
+                    ref = floyd_warshall(net)
+                    q = random_query(rng, net, k=k, per_cat=6, b=b, threshold=20.0)
+                    cats = q.categories.categories
+                    shuffled += sum(list(cat) != sorted(cat) for cat in cats)
+                    src, dst = list(q.group.sources), list(q.group.destinations)
+                    combo = []
+                    for i, cat in enumerate(cats):
+                        if k == 1:
+                            points = src + dst
+                        elif i == 0:
+                            points = src
+                        elif i == k - 1:
+                            points = dst
+                        else:
+                            points = [combo[-1]]
+                        sums = [sum(float(ref[p, c]) for p in points) for c in cat]
+                        ties += sums.count(min(sums)) > 1
+                        combo.append(linear_network_gnn(points, cat, ref))
+                    for oracle in (build_oracle(net), build_oracle(net, FULL)):
+                        res = solve_heuristic(q, oracle)
+                        assert res.combination == tuple(combo)
+                        assert res.route == evaluate_route(q, res.combination, oracle)
+        assert ties > 20 and shuffled > 50
+
+    def test_picks_read_but_never_write_candidates(self):
+        rng = np.random.default_rng(313)
+        net = random_network(rng, 30)
+        oracle = build_oracle(net)
+        ref = floyd_warshall(net)
+        q = random_query(rng, net, k=2, per_cat=8, b=3, threshold=20.0)
+        for cat, ids in zip(q.categories.categories, q.categories.sorted_ids):
+            as_list, as_array = list(cat), np.array(cat)
+            points = list(q.group.sources)
+            want_gnn = linear_network_gnn(points, cat, ref)
+            want_nn = linear_network_nn(points[0], cat, ref)
+            for cands in (as_list, as_array, ids):
+                assert group_nearest_neighbor(points, cands, oracle) == want_gnn
+                assert nearest_neighbor(points[0], cands, oracle) == want_nn
+            assert as_list == list(cat) and as_array.tolist() == list(cat)
+            assert not ids.flags.writeable and ids.tolist() == sorted(cat)
+
     def test_unknown_index_mode(self, path_oracle):
         q = query(None, [0], [4], [(2,)], 1.0)
         with pytest.raises(ValueError, match="unknown index mode"):

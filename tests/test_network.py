@@ -204,6 +204,39 @@ class TestCategories:
         assert cats.sizes() == (2, 3, 1)
         assert cats.combination_count() == 6
 
+    def test_sorted_ids_cache(self):
+        rng = np.random.default_rng(190)
+        for _ in range(20):
+            ids = [int(v) for v in rng.permutation(60)]
+            cats = CategoryAssignment((tuple(ids[:1]), tuple(ids[1:20]), tuple(ids[20:])))
+            built = cats.sorted_ids
+            assert len(built) == cats.k
+            for arr, cat in zip(built, cats.categories):
+                assert arr.dtype == np.int64 and not arr.flags.writeable
+                assert arr.tolist() == sorted(cat)
+                with pytest.raises(ValueError, match="read-only"):
+                    arr[0] = arr[-1]
+            assert cats.sorted_ids is built
+
+    def test_sorted_ids_leave_equality_and_hash_alone(self):
+        a = CategoryAssignment(((5, 1, 3), (2,)))
+        b = CategoryAssignment(((5, 1, 3), (2,)))
+        assert a == b and hash(a) == hash(b)
+        a.sorted_ids
+        assert a == b and hash(a) == hash(b)
+        b.sorted_ids
+        assert a == b and hash(a) == hash(b)
+        assert len({a, b}) == 1
+        # same ids, same sorted_ids, other listed order: a different assignment
+        c = CategoryAssignment(((1, 3, 5), (2,)))
+        assert [x.tolist() for x in c.sorted_ids] == [x.tolist() for x in a.sorted_ids]
+        assert a != c
+
+    def test_ids_beyond_int64_rejected(self):
+        CategoryAssignment(((2**63 - 1,),))
+        with pytest.raises(ValueError, match=rf"^category 1 has vertex id {2**63} beyond the"):
+            CategoryAssignment(((0,), (2**63,)))
+
     def test_group_spec(self):
         with pytest.raises(ValueError, match="equal length"):
             GroupSpec(sources=(0, 1), destinations=(2,))
@@ -218,6 +251,13 @@ class TestCategories:
         cats = CategoryAssignment(((0, 1), (2, 9, 3), (7,)))
         with pytest.raises(ValueError, match=r"^category vertex 9 not in network$"):
             cats.validate_against(net)
+        # the first offender in listed order, not the largest; cache built or not
+        for warm in (False, True):
+            cats = CategoryAssignment(((4, 0), (2, 8, 3, 12, 6)))
+            if warm:
+                cats.sorted_ids
+            with pytest.raises(ValueError, match=r"^category vertex 8 not in network$"):
+                cats.validate_against(net)
         GroupSpec((0, 5), (1, 2)).validate_against(net)
         for group, bad in (
             (GroupSpec((0, 1), (2, 6)), 6),
