@@ -5,7 +5,7 @@ POI per category in a fixed order. The library finds the combination
 minimizing the group's total travel distance subject to a bound on how
 much any two members' individual trips may differ, with an exhaustive
 solver, a greedy GNN/NN heuristic with network or Euclidean picks,
-shortest-path distance oracles, and a sweep/bench harness.
+shortest-path distance oracles, and threshold sweeps that write CSV.
 """
 
 from .exact import (
@@ -20,11 +20,8 @@ from .exact import (
     solve_exact,
 )
 from .experiments import (
-    BenchRecord,
     SweepConfig,
     SweepRecord,
-    bench_to_csv,
-    compare_solvers,
     generate_query,
     load_network,
     records_to_csv,
@@ -67,7 +64,6 @@ from .synthetic import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BenchRecord",
     "CapacityError",
     "CategoryAssignment",
     "DistanceOracle",
@@ -83,10 +79,8 @@ __all__ = [
     "SweepConfig",
     "SweepRecord",
     "assign_categories",
-    "bench_to_csv",
     "build_oracle",
     "bulk_load",
-    "compare_solvers",
     "component_labels",
     "euclidean_gnn",
     "euclidean_nn",

@@ -1,4 +1,4 @@
-"""Command-line front end: solve single queries, run sweeps and benches.
+"""Command-line front end: solve single queries, run threshold sweeps.
 
 Exit codes: 0 on success (an infeasible instance is still a successful
 solve and prints its minimum-slack line), 1 on command-line misuse, 2 on
@@ -16,14 +16,7 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from .exact import load_query, solve_exact
-from .experiments import (
-    SweepConfig,
-    bench_to_csv,
-    compare_solvers,
-    load_network,
-    records_to_csv,
-    run_sweep,
-)
+from .experiments import SweepConfig, load_network, records_to_csv, run_sweep
 from .heuristic import INDEX_MODES, solve_heuristic
 from .oracle import CapacityError, build_oracle
 
@@ -61,14 +54,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     ph.set_defaults(func=_cmd_solve_heuristic)
 
-    for name, help_text, run, to_csv in (
-        ("sweep", "threshold sweep over seeded instances", run_sweep, records_to_csv),
-        ("bench", "exact-vs-heuristic comparison table", compare_solvers, bench_to_csv),
-    ):
-        pg = sub.add_parser(name, help=help_text)
-        pg.add_argument("--config", required=True, help="sweep config JSON file")
-        pg.add_argument("--out", required=True, help="output CSV path")
-        pg.set_defaults(func=_cmd_grid, run=run, to_csv=to_csv)
+    ps = sub.add_parser("sweep", help="threshold sweep over seeded instances")
+    ps.add_argument("--config", required=True, help="sweep config JSON file")
+    ps.add_argument("--out", required=True, help="output CSV path")
+    ps.set_defaults(func=_cmd_sweep)
     return parser
 
 
@@ -119,11 +108,10 @@ def _cmd_solve_heuristic(args) -> int:
     return 0
 
 
-def _cmd_grid(args) -> int:
-    """sweep and bench: run the config's grid, write its CSV."""
+def _cmd_sweep(args) -> int:
     config = SweepConfig.from_json(Path(args.config).read_text())
-    records = args.run(config)
-    Path(args.out).write_text(args.to_csv(records), encoding="utf-8")
+    records = run_sweep(config)
+    Path(args.out).write_text(records_to_csv(records), encoding="utf-8")
     print(f"wrote {len(records)} records to {args.out}")
     return 0
 

@@ -103,8 +103,9 @@ class SolveOutcome:
 def validate_combination(categories: CategoryAssignment, rho: PoiCombination) -> None:
     if len(rho) != categories.k:
         raise ValueError(f"expected {categories.k} POIs, got {len(rho)}")
-    for i, (v, cat) in enumerate(zip(rho, categories.categories)):
-        if v not in cat:
+    category_of = categories.category_of
+    for i, v in enumerate(rho):
+        if category_of.get(v) != i:
             raise ValueError(f"POI {v} is not in category {i}")
 
 

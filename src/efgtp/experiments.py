@@ -1,12 +1,12 @@
-"""Sweep and benchmark harness over the solvers, emitting CSV records.
+"""Threshold sweeps over the solvers, emitting CSV records.
 
 A sweep fixes an instance per (k, seed) cell — category assignment plus
 sampled sources/destinations — and re-solves it across the envy-threshold
 grid, recording feasible counts, optimal values, minimum gaps, and wall
 times. Thresholds come either from an explicit list or from quantiles of
 the instance's gap distribution, which keeps sweeps meaningful across
-datasets with different length units. A bench run compares the exact
-optimum against the heuristic route on the same instances.
+datasets with different length units. Listing an exact and a heuristic
+solver puts both answers to each instance in the same (k, D, seed) cell.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .exact import EfGtpQuery, SolveOutcome, _json_is, gap_distribution, solve_exact
+from .exact import EfGtpQuery, _json_is, gap_distribution, solve_exact
 from .heuristic import solve_heuristic
 from .network import (
     CategoryAssignment,
@@ -39,7 +39,7 @@ from .oracle import CapacityError, DistanceOracle, build_oracle
 logger = logging.getLogger(__name__)
 
 SOLVERS = ("exact", "exact-faithful", "heuristic", "heuristic-indexed")
-BENCH_COMBINATION_GUARD = 10_000_000
+FAITHFUL_COMBINATION_GUARD = 10_000_000
 
 
 @dataclass(frozen=True)
@@ -135,21 +135,6 @@ class SweepRecord:
     wall_time_ms: float
 
 
-@dataclass(frozen=True)
-class BenchRecord:
-    dataset: str
-    k: int
-    b: int
-    D: float
-    seed: int
-    exact_aggregated: Optional[float]
-    heuristic_aggregated: float
-    heuristic_feasible: bool
-    ratio: Optional[float]
-    exact_time_ms: float
-    heuristic_time_ms: float
-
-
 # ---------------------------------------------------------------------------
 # instance construction
 # ---------------------------------------------------------------------------
@@ -209,37 +194,54 @@ def load_network(dataset: str, coords: Optional[str] = None) -> RoadNetwork:
 
 
 # ---------------------------------------------------------------------------
-# the grid: one cell loop and one timed solve for both sweep and bench
+# the grid
 # ---------------------------------------------------------------------------
 
 
-def _timed_solve(query: EfGtpQuery, solver: str, oracle: DistanceOracle):
-    """(result, wall_time_ms) of one solver on one query: a SolveOutcome
-    from the exact solvers, a HeuristicResult from the heuristic ones."""
+def _solve(query: EfGtpQuery, solver: str, oracle: DistanceOracle) -> tuple:
+    """(feasible_count, optimal_aggregated, d, epsilon, wall_time_ms) of one
+    solver on one query; the time covers the solve alone."""
     start = time.perf_counter()
     if solver in ("exact", "exact-faithful"):
         out = solve_exact(query, oracle, faithful=solver == "exact-faithful")
-    else:
-        out = solve_heuristic(
-            query, oracle, index="euclidean" if solver == "heuristic-indexed" else None
-        )
-    return out, (time.perf_counter() - start) * 1e3
+        ms = (time.perf_counter() - start) * 1e3
+        agg = out.optimal.aggregated if out.optimal is not None else None
+        return out.feasible_count, agg, out.min_gap, out.epsilon, ms
+    index = "euclidean" if solver == "heuristic-indexed" else None
+    route = solve_heuristic(query, oracle, index=index).route
+    ms = (time.perf_counter() - start) * 1e3
+    # heuristic rows describe the single constructed route, not the whole space
+    if route.feasible:
+        return 1, route.aggregated, route.max_gap, 0.0, ms
+    return 0, None, route.max_gap, route.max_gap - query.envy_threshold, ms
 
 
-def _cells(config: SweepConfig, net: Optional[RoadNetwork], solvers: Sequence[str]):
-    """(cell, query, results) per (k, seed, D) grid cell, in that loop order:
-    cell is (dataset, k, b, D, seed), the columns both record types start
-    with, and results one _timed_solve per solver, in the order given.
+def run_sweep(config: SweepConfig, net: Optional[RoadNetwork] = None) -> list[SweepRecord]:
+    """One record per (k, seed, D, solver); records sorted by (k, D, seed, solver).
 
     One on-demand oracle serves every solve. Each (k, seed) instance is
     sampled at D = 0 and re-solved across the threshold grid: the config's
-    list, or the instance's gap quantiles.
+    list, or the instance's gap quantiles. The instance is fixed across the
+    grid, so exact-solver rows show non-decreasing feasible counts and
+    constant D + epsilon on the infeasible prefix. With exact-faithful
+    listed, a largest instance over FAITHFUL_COMBINATION_GUARD combinations
+    raises CapacityError before the dataset loads.
     """
+    if "exact-faithful" in config.solvers:
+        k = max(config.k_values)
+        total = config.per_category**k
+        if total > FAITHFUL_COMBINATION_GUARD:
+            raise CapacityError(
+                f"exact-faithful would enumerate per_category ** k = "
+                f"{config.per_category} ** {k} = {total} combinations "
+                f"(> {FAITHFUL_COMBINATION_GUARD}); reduce per_category or k"
+            )
     if net is None:
         net = load_network(config.dataset, config.coords)
     start = time.perf_counter()
     oracle = build_oracle(net)
     logger.info("oracle ready in %.1f ms", (time.perf_counter() - start) * 1e3)
+    records = []
     for k in config.k_values:
         for seed in config.seeds:
             base = 100_003 * seed + k  # one deterministic stream per (seed, k) cell
@@ -251,77 +253,14 @@ def _cells(config: SweepConfig, net: Optional[RoadNetwork], solvers: Sequence[st
                 thresholds = threshold_quantiles(query, oracle, config.d_quantiles)
             for D in thresholds:
                 q = query.with_threshold(float(D))
-                cell = (config.dataset, k, config.b, q.envy_threshold, seed)
-                yield cell, q, [_timed_solve(q, solver, oracle) for solver in solvers]
-
-
-def _sweep_columns(query: EfGtpQuery, result) -> tuple:
-    """(feasible_count, optimal_aggregated, d, epsilon) of one solve."""
-    if isinstance(result, SolveOutcome):
-        agg = result.optimal.aggregated if result.optimal is not None else None
-        return result.feasible_count, agg, result.min_gap, result.epsilon
-    # heuristic rows describe the single constructed route, not the whole space
-    route = result.route
-    if route.feasible:
-        return 1, route.aggregated, route.max_gap, 0.0
-    return 0, None, route.max_gap, route.max_gap - query.envy_threshold
-
-
-def run_sweep(config: SweepConfig, net: Optional[RoadNetwork] = None) -> list[SweepRecord]:
-    """One record per (k, seed, D, solver); records sorted by (k, D, seed, solver).
-
-    The (k, seed) instance is fixed across the threshold grid, so exact-solver
-    rows show non-decreasing feasible counts and constant D + epsilon on the
-    infeasible prefix. With exact-faithful listed, a largest instance over
-    BENCH_COMBINATION_GUARD combinations raises CapacityError before any cell.
-    """
-    if "exact-faithful" in config.solvers:
-        k = max(config.k_values)
-        total = config.per_category**k
-        if total > BENCH_COMBINATION_GUARD:
-            raise CapacityError(
-                f"exact-faithful would enumerate per_category ** k = "
-                f"{config.per_category} ** {k} = {total} combinations "
-                f"(> {BENCH_COMBINATION_GUARD}); reduce per_category or k"
-            )
-    records = [
-        SweepRecord(*cell, solver, *_sweep_columns(q, result), ms)
-        for cell, q, results in _cells(config, net, config.solvers)
-        for solver, (result, ms) in zip(config.solvers, results)
-    ]
+                records.extend(
+                    SweepRecord(
+                        config.dataset, k, config.b, q.envy_threshold, seed, solver,
+                        *_solve(q, solver, oracle),
+                    )
+                    for solver in config.solvers
+                )
     records.sort(key=lambda r: (r.k, r.D, r.seed, r.solver))
-    return records
-
-
-def compare_solvers(
-    config: SweepConfig, net: Optional[RoadNetwork] = None
-) -> list[BenchRecord]:
-    """Exact-vs-heuristic rows per (k, seed, D), run serially for clean timing.
-
-    The heuristic variant is indexed when the config lists heuristic-indexed
-    (and no plain heuristic); the ratio column is blank unless both the exact
-    optimum exists and the heuristic route is feasible.
-    """
-    guard = config.per_category ** max(config.k_values)
-    if guard > BENCH_COMBINATION_GUARD:
-        raise CapacityError(
-            f"bench instance would enumerate {guard} combinations "
-            f"(> {BENCH_COMBINATION_GUARD}); reduce per_category or k"
-        )
-    indexed = "heuristic-indexed" in config.solvers and "heuristic" not in config.solvers
-    records = []
-    for cell, _, [(exact, exact_ms), (heur, heur_ms)] in _cells(
-        config, net, ("exact", "heuristic-indexed" if indexed else "heuristic")
-    ):
-        exact_agg = exact.optimal.aggregated if exact.optimal is not None else None
-        route = heur.route
-        ratio = route.aggregated / exact_agg if exact_agg is not None and route.feasible else None
-        records.append(
-            BenchRecord(
-                *cell, exact_agg, route.aggregated, route.feasible, ratio, exact_ms, heur_ms
-            )
-        )
-    records.sort(key=lambda r: (r.k, r.D, r.seed))
     return records
 
 
@@ -333,26 +272,16 @@ def compare_solvers(
 def _fmt(value) -> str:
     if value is None:
         return ""
-    if isinstance(value, bool):
-        return str(int(value))
     if isinstance(value, float):
         return repr(value)
     return str(value)
 
 
-def _csv_writer(cls):
-    """to_csv for a record dataclass; the header is its field names in order."""
-    names = [f.name for f in fields(cls)]
-
-    def to_csv(records: Sequence[cls]) -> str:
-        buf = io.StringIO()
-        w = csv.writer(buf, lineterminator="\n")
-        w.writerow(names)
-        w.writerows([_fmt(getattr(r, name)) for name in names] for r in records)
-        return buf.getvalue()
-
-    return to_csv
-
-
-records_to_csv = _csv_writer(SweepRecord)
-bench_to_csv = _csv_writer(BenchRecord)
+def records_to_csv(records: Sequence[SweepRecord]) -> str:
+    """The sweep CSV: a header of SweepRecord's field names, then one row per record."""
+    names = [f.name for f in fields(SweepRecord)]
+    buf = io.StringIO()
+    w = csv.writer(buf, lineterminator="\n")
+    w.writerow(names)
+    w.writerows([_fmt(getattr(r, name)) for name in names] for r in records)
+    return buf.getvalue()

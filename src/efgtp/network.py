@@ -10,9 +10,10 @@ parse -> serialize -> parse an exact round trip.
 from __future__ import annotations
 
 import math
-from collections.abc import Hashable, Iterable, Iterator
+from collections.abc import Hashable, Iterable, Iterator, Mapping
 from dataclasses import dataclass, field, replace
 from functools import cached_property
+from types import MappingProxyType
 from typing import Optional
 
 import numpy as np
@@ -120,9 +121,10 @@ class CategoryAssignment:
     for enumeration order and tie-breaking.
 
     sorted_ids holds each category's ids as a read-only ascending int64
-    array, built on first read and kept for the assignment's lifetime
-    (8 bytes per POI). It is not a field, so equality and hashing still
-    read the categories alone.
+    array, and category_of is a read-only map from each POI to its
+    category's index. Each is built on first read and kept for the
+    assignment's lifetime. Neither is a field, so equality and hashing
+    still read the categories alone.
     """
 
     categories: tuple[tuple[int, ...], ...]
@@ -161,6 +163,10 @@ class CategoryAssignment:
             ids.setflags(write=False)
             out.append(ids)
         return tuple(out)
+
+    @cached_property
+    def category_of(self) -> Mapping[int, int]:
+        return MappingProxyType({v: i for i, cat in enumerate(self.categories) for v in cat})
 
     def validate_against(self, net: RoadNetwork) -> None:
         n = net.vertex_count

@@ -211,30 +211,22 @@ class TestSweepAndBench:
         assert code == 0
         assert len(read_csv(out_path)) == 24
 
-    def test_bench_writes_csv(self, capsys, tmp_path):
-        out_path = tmp_path / "bench.csv"
-        cfg = write_config(tmp_path, solvers=["exact", "heuristic"], d_values=[0.0, 100.0])
-        del_quantiles = json.loads(Path(cfg).read_text())
-        del_quantiles.pop("d_quantiles")
-        Path(cfg).write_text(json.dumps(del_quantiles))
-        code, out, _ = run(capsys, "bench", "--config", cfg, "--out", str(out_path))
-        assert code == 0
-        records = read_csv(out_path)
-        assert len(records) == 2 * 2 * 2
-        assert all(r["ratio"] == "" or float(r["ratio"]) >= 1.0 for r in records)
-
-    def test_bench_capacity_guard_exits_3(self, capsys, tmp_path):
-        cfg = write_config(tmp_path, per_category=100, k_values=[4])
-        code, _, err = run(capsys, "bench", "--config", cfg, "--out", str(tmp_path / "x.csv"))
-        assert code == 3
-        assert "error:" in err and "reduce per_category or k" in err
-
     def test_sweep_faithful_guard_exits_3(self, capsys, tmp_path):
         cfg = write_config(tmp_path, per_category=100, k_values=[1, 4], solvers=["exact-faithful"])
         out_path = tmp_path / "x.csv"
         code, out, err = run(capsys, "sweep", "--config", cfg, "--out", str(out_path))
         assert code == 3 and out == ""
         assert "error: exact-faithful would enumerate per_category ** k = 100 ** 4" in err
+        assert not out_path.exists()
+
+    def test_bench_is_a_usage_error(self, capsys, tmp_path):
+        # the former bench command: its ratio is a join of sweep rows
+        out_path = tmp_path / "bench.csv"
+        code, out, err = run(
+            capsys, "bench", "--config", write_config(tmp_path), "--out", str(out_path)
+        )
+        assert code == 1 and out == ""
+        assert "error: argument command: invalid choice: 'bench'" in err
         assert not out_path.exists()
 
 
@@ -368,12 +360,11 @@ class TestExitCodes:
     )
     def test_malformed_config_value(self, capsys, tmp_path, override, key):
         cfg = write_config(tmp_path, **override)
-        for command in ("sweep", "bench"):
-            out_path = tmp_path / f"{command}.csv"
-            code, out, err = run(capsys, command, "--config", cfg, "--out", str(out_path))
-            assert code == 2
-            assert f"error: config key {key!r} must be" in err and out == ""
-            assert not out_path.exists()
+        out_path = tmp_path / "sweep.csv"
+        code, out, err = run(capsys, "sweep", "--config", cfg, "--out", str(out_path))
+        assert code == 2
+        assert f"error: config key {key!r} must be" in err and out == ""
+        assert not out_path.exists()
 
     @pytest.mark.parametrize(
         "override, key",
@@ -388,12 +379,11 @@ class TestExitCodes:
         # the dataset does not exist, so naming the key shows the config was
         # refused before any load
         cfg = write_config(tmp_path, dataset=str(tmp_path / "absent.txt"), **override)
-        for command in ("sweep", "bench"):
-            out_path = tmp_path / f"{command}.csv"
-            code, out, err = run(capsys, command, "--config", cfg, "--out", str(out_path))
-            assert code == 2
-            assert f"error: config key {key!r} must hold nonnegative" in err and out == ""
-            assert not out_path.exists()
+        out_path = tmp_path / "sweep.csv"
+        code, out, err = run(capsys, "sweep", "--config", cfg, "--out", str(out_path))
+        assert code == 2
+        assert f"error: config key {key!r} must hold nonnegative" in err and out == ""
+        assert not out_path.exists()
 
     @pytest.mark.parametrize(
         "text, message",

@@ -120,10 +120,12 @@ class TestRouteMetrics:
 
     def test_combination_validation(self, path_oracle):
         q = query([0], [4], [(1, 2), (3,)], 0.0)
-        with pytest.raises(ValueError, match="expected 2 POIs"):
+        with pytest.raises(ValueError, match=r"^expected 2 POIs, got 1$"):
             evaluate_route(q, (1,), path_oracle)
-        with pytest.raises(ValueError, match="not in category"):
-            evaluate_route(q, (3, 1), path_oracle)
+        with pytest.raises(ValueError, match=r"^POI 3 is not in category 0$"):
+            evaluate_route(q, (3, 1), path_oracle)  # each POI in the other category
+        with pytest.raises(ValueError, match=r"^POI 4 is not in category 1$"):
+            evaluate_route(q, (2, 4), path_oracle)  # 4 is in no category
 
     def test_feasible_iff_gap_at_most_threshold(self, path_oracle):
         q = query([0, 4], [4, 0], [(1,), (3,)], 4.0)  # gap is exactly 4

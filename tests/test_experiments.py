@@ -1,4 +1,4 @@
-"""Sweep/bench harness: config validation, record semantics, CSV output."""
+"""Threshold sweeps: config validation, record semantics, CSV output."""
 
 import csv
 import dataclasses
@@ -10,14 +10,11 @@ import numpy as np
 import pytest
 
 from efgtp import (
-    BenchRecord,
     CapacityError,
     SweepConfig,
     SweepRecord,
     assign_categories,
-    bench_to_csv,
     build_oracle,
-    compare_solvers,
     europe_like,
     gap_distribution,
     generate_query,
@@ -266,6 +263,20 @@ class TestRunSweep:
                 assert heur.optimal_aggregated is None
                 assert heur.epsilon == heur.d - heur.D
 
+    def test_ratio_at_least_one(self, net25):
+        # the heuristic never beats the optimum of its own cell
+        cfg = config(d_values=(2.0, 1e9), solvers=("exact", "heuristic"))
+        cells = {}
+        for r in run_sweep(cfg, net=net25):
+            cells.setdefault((r.k, r.D, r.seed), {})[r.solver] = r
+        ratios = [
+            pair["heuristic"].optimal_aggregated / pair["exact"].optimal_aggregated
+            for pair in cells.values()
+            if pair["heuristic"].feasible_count == 1
+        ]
+        assert ratios
+        assert all(ratio >= 1.0 for ratio in ratios)
+
     def test_quantile_thresholds_bracket_feasibility(self, net25):
         cfg = config(d_values=None, d_quantiles=(0.0, 0.5, 1.0))
         records = [r for r in run_sweep(cfg, net=net25) if r.solver == "exact"]
@@ -288,79 +299,43 @@ class TestRunSweep:
         assert len(records) == 3
         assert all(r.solver == "heuristic-indexed" for r in records)
 
-
-class TestCompareSolvers:
     def test_singleton_categories_give_unit_ratio(self, net25):
-        cfg = config(per_category=1, d_values=(1e9,))
-        records = compare_solvers(cfg, net=net25)
-        assert len(records) == 4  # k x seeds
-        for r in records:
-            assert r.heuristic_feasible
-            assert r.ratio == 1.0
-            assert r.exact_aggregated == r.heuristic_aggregated
+        # one combination per instance: the greedy route is the optimum
+        cfg = config(per_category=1, d_values=(1e9,), solvers=("exact", "heuristic"))
+        cells = {}
+        for r in run_sweep(cfg, net=net25):
+            cells.setdefault((r.k, r.D, r.seed), {})[r.solver] = r
+        assert len(cells) == 4  # k x seeds
+        for pair in cells.values():
+            exact, heur = pair["exact"], pair["heuristic"]
+            assert heur.feasible_count == 1
+            assert heur.optimal_aggregated / exact.optimal_aggregated == 1.0
 
-    def test_ratio_blank_when_heuristic_infeasible(self, net25):
-        records = compare_solvers(config(d_values=(0.0,)), net=net25)
-        for r in records:
-            if not r.heuristic_feasible:
-                assert r.ratio is None
-            assert r.heuristic_aggregated is not None
-
-    def test_ratio_at_least_one(self, net25):
-        records = compare_solvers(config(d_values=(2.0, 1e9)), net=net25)
-        assert any(r.ratio is not None for r in records)
-        for r in records:
-            if r.ratio is not None:
-                assert r.ratio >= 1.0
-                assert r.ratio == r.heuristic_aggregated / r.exact_aggregated
-
-    def test_rows_sorted(self, net25):
-        records = compare_solvers(config(), net=net25)
-        keys = [(r.k, r.D, r.seed) for r in records]
-        assert keys == sorted(keys)
-        assert len(records) == 2 * 2 * 3
-
-    def test_agrees_with_sweep_cell_by_cell(self):
+    def test_indexed_and_plain_heuristics_differ(self):
         # europe_like has coordinates, and its indexed and plain heuristic
         # routes differ on some cells, so a wrong pick cannot pass unseen
-        net = europe_like()
-        base = config(
-            k_values=(2, 3), per_category=6, b=3, seeds=(1, 2),
+        cfg = config(
+            k_values=(2, 3), per_category=6, b=3, seeds=(1, 2), solvers=SOLVERS,
             d_values=None, d_quantiles=(0.0, 0.3, 1.0),
         )
-        sweep = {
-            (r.k, r.seed, r.D, r.solver): r
-            for r in run_sweep(dataclasses.replace(base, solvers=SOLVERS), net=net)
-        }
-        plain = [sweep[key] for key in sweep if key[3] == "heuristic"]
-        indexed = [sweep[key] for key in sweep if key[3] == "heuristic-indexed"]
-        assert [r.optimal_aggregated for r in plain] != [r.optimal_aggregated for r in indexed]
-        for solvers, picked in (
-            (("exact", "heuristic"), "heuristic"),
-            (("exact", "heuristic-indexed"), "heuristic-indexed"),
-            (("exact", "heuristic", "heuristic-indexed"), "heuristic"),
-        ):
-            records = compare_solvers(dataclasses.replace(base, solvers=solvers), net=net)
-            assert len(records) == 2 * 2 * 3
-            for r in records:
-                exact = sweep[r.k, r.seed, r.D, "exact"]
-                heur = sweep[r.k, r.seed, r.D, picked]
-                assert r.exact_aggregated == exact.optimal_aggregated
-                assert r.heuristic_feasible == (heur.feasible_count == 1)
-                if r.heuristic_feasible:
-                    assert r.heuristic_aggregated == heur.optimal_aggregated
-                else:
-                    assert r.heuristic_aggregated is not None and heur.optimal_aggregated is None
-
-    def test_combination_guard(self, net25):
-        cfg = config(per_category=100, k_values=(4,))
-        with pytest.raises(CapacityError, match="reduce per_category or k"):
-            compare_solvers(cfg, net=net25)
+        cells = {}
+        for r in run_sweep(cfg, net=europe_like()):
+            cells.setdefault((r.k, r.D, r.seed), {})[r.solver] = r
+        assert len(cells) == 2 * 2 * 3
+        differ = 0
+        for row in cells.values():
+            exact = row["exact"]
+            for solver in ("heuristic", "heuristic-indexed"):
+                if row[solver].feasible_count == 1:
+                    assert row[solver].optimal_aggregated >= exact.optimal_aggregated
+            plain, indexed = row["heuristic"], row["heuristic-indexed"]
+            differ += (plain.optimal_aggregated, plain.d) != (indexed.optimal_aggregated, indexed.d)
+        assert differ > 0
 
 
 def assert_cells_read_back(text, records):
-    """Each CSV cell reads back to its record's field: '' for None, 0/1 for
-    bools, float(cell) == value for floats, str(value) otherwise."""
+    """Each CSV cell reads back to its record's field: '' for None,
+    float(cell) == value for floats, str(value) otherwise."""
     rows = list(csv.DictReader(io.StringIO(text)))
     assert len(rows) == len(records)
     for row, r in zip(rows, records):
@@ -369,8 +344,6 @@ def assert_cells_read_back(text, records):
             value = getattr(r, name)
             if value is None:
                 assert cell == ""
-            elif isinstance(value, bool):
-                assert cell == str(int(value))
             elif isinstance(value, float):
                 assert float(cell) == value
             else:
@@ -398,23 +371,12 @@ class TestCsvRoundTrips:
         assert text.splitlines()[1] == "x,1,1,0.5,0,exact,0,,1.75,1.25,0.125"
         assert_cells_read_back(text, [r])
 
-    def test_bench_round_trip(self, net25):
-        records = compare_solvers(config(d_values=(0.0, 1e9)), net=net25)
-        text = bench_to_csv(records)
-        assert_cells_read_back(text, records)
-        assert "\r" not in text
-        assert text.splitlines()[0] == (
-            "dataset,k,b,D,seed,exact_aggregated,heuristic_aggregated,"
-            "heuristic_feasible,ratio,exact_time_ms,heuristic_time_ms"
-        )
-
     def test_float_cells_round_trip_exactly(self):
-        r = BenchRecord(
-            dataset="x", k=2, b=1, D=0.1, seed=3, exact_aggregated=0.3,
-            heuristic_aggregated=0.7, heuristic_feasible=True, ratio=0.7 / 0.3,
-            exact_time_ms=1e-7, heuristic_time_ms=3.5,
+        r = SweepRecord(
+            dataset="x", k=2, b=1, D=0.1, seed=3, solver="heuristic", feasible_count=1,
+            optimal_aggregated=0.7 / 0.3, d=0.3, epsilon=0.0, wall_time_ms=1e-7,
         )
-        assert_cells_read_back(bench_to_csv([r]), [r])
+        assert_cells_read_back(records_to_csv([r]), [r])
 
 
 class TestLoadNetwork:

@@ -217,14 +217,19 @@ class TestCategories:
                 with pytest.raises(ValueError, match="read-only"):
                     arr[0] = arr[-1]
             assert cats.sorted_ids is built
+            category_of = cats.category_of
+            assert category_of == {v: i for i, cat in enumerate(cats.categories) for v in cat}
+            assert cats.category_of is category_of
+            with pytest.raises(TypeError):
+                category_of[ids[0]] = 1
 
     def test_sorted_ids_leave_equality_and_hash_alone(self):
         a = CategoryAssignment(((5, 1, 3), (2,)))
         b = CategoryAssignment(((5, 1, 3), (2,)))
         assert a == b and hash(a) == hash(b)
-        a.sorted_ids
+        a.sorted_ids, a.category_of
         assert a == b and hash(a) == hash(b)
-        b.sorted_ids
+        b.sorted_ids, b.category_of
         assert a == b and hash(a) == hash(b)
         assert len({a, b}) == 1
         # same ids, same sorted_ids, other listed order: a different assignment
