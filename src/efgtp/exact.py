@@ -24,7 +24,8 @@ import itertools
 import json
 import logging
 import math
-from dataclasses import dataclass, field, replace
+import time
+from dataclasses import dataclass, replace
 from typing import IO, Optional
 
 import numpy as np
@@ -180,10 +181,13 @@ def evaluate_route(
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True)
 class _Tables:
-    """Leg lookups shared by both scans and by the reported optimum, all
-    indexed by per-category positions."""
+    """The threshold-independent part of a solve, indexed by per-category
+    positions: the end legs and the pair-gap table read from the member
+    rows. One instance is shared by every solve of its query on an oracle
+    (_tables), so it holds nothing that a solve writes; the chain legs
+    each solve fetches are its own (_fetch_chain)."""
 
     cats: tuple[tuple[int, ...], ...]
     members: np.ndarray  # (2b, n): the member rows, sources then destinations
@@ -191,47 +195,63 @@ class _Tables:
     t_np: np.ndarray  # (nk, b): dist(destination_i, last-category POI)
     s_cols: list[list[float]]
     t_cols: list[list[float]]
-    # legs[i][p][q] = dist(cats[i][p], cats[i + 1][q]), one (n_i x n_{i+1})
-    # block per category step, filled by _fetch_chain. Entry p is None when
-    # the solve did not fetch the row of cats[i][p]; no block is filled when
-    # no pair is feasible.
-    legs: list[list[Optional[list[float]]]] = field(default_factory=list)
+    # read-only envy gap per (first POI, last POI) pair, (n1, nk); for
+    # k = 1 each POI is its own pair, (n1,)
+    gaps: np.ndarray
+    min_gap: float  # the first gap minimum and its positions (_gap_minimum)
+    witness: tuple[int, ...]
 
 
 def _prepare_tables(query: EfGtpQuery, oracle: DistanceOracle) -> _Tables:
-    """Build the end legs from one batched fetch of the member rows, which
-    is all the pair-gap table reads."""
+    """Build the end legs and the pair-gap table from one batched fetch of
+    the member rows."""
     cats = query.categories.categories
     b = query.b
     rows = oracle.rows(itertools.chain(query.group.sources, query.group.destinations))
     s_np = rows[:b][:, cats[0]].T.copy()  # (n1, b), read from the source rows
     t_np = rows[b:][:, cats[-1]].T.copy()  # (nk, b), from the destination rows
+    gaps = _end_gap(s_np[:, None, :], t_np[None, :, :]) if query.k > 1 else _end_gap(s_np, t_np)
+    for a in (s_np, t_np, gaps):
+        a.setflags(write=False)
     return _Tables(
-        cats=cats, members=rows, s_np=s_np, t_np=t_np, s_cols=s_np.tolist(), t_cols=t_np.tolist()
+        cats, rows, s_np, t_np, s_np.tolist(), t_np.tolist(), gaps, *_gap_minimum(gaps, query.k)
     )
 
 
-def _fetch_chain(tables: _Tables, oracle: DistanceOracle, positions) -> None:
-    """Fill tables.legs from one more batched row fetch: the rows of the POIs
+def _tables(query: EfGtpQuery, oracle: DistanceOracle) -> _Tables:
+    """The query's tables from the oracle's one-entry memo, keyed by the
+    query without its threshold; a miss builds them and replaces the entry."""
+    key = (query.group, query.categories)
+    memo = oracle.pair_tables  # read once: another thread may replace it
+    if memo is not None and memo[0] == key:
+        logger.info("pair-gap table reused")
+        return memo[1]
+    start = time.perf_counter()
+    tables = _prepare_tables(query, oracle)
+    oracle.pair_tables = (key, tables)
+    logger.info(
+        "pair-gap table built (%s, %.2f ms)",  # k = 1: one gap per POI
+        " x ".join(map(str, tables.gaps.shape)), (time.perf_counter() - start) * 1e3,
+    )
+    return tables
+
+
+def _fetch_chain(tables: _Tables, oracle: DistanceOracle, positions) -> list:
+    """The chain legs from one more batched row fetch: the rows of the POIs
     at positions[i] of each category i < k - 1, whose rows the combinations
-    through them read."""
+    through them read. legs[i][p][q] = dist(cats[i][p], cats[i + 1][q]),
+    one (n_i x n_{i+1}) block per category step; entry p is None when p is
+    not in positions[i]."""
     cats = tables.cats
     rows = oracle.rows(cats[i][p] for i, ps in enumerate(positions) for p in ps)
-    tables.legs, at = [], 0
+    legs, at = [], 0
     for cat, nxt, ps in zip(cats, cats[1:], positions):
         block: list[Optional[list[float]]] = [None] * len(cat)
         for p, row in zip(ps, rows[at : at + len(ps)][:, nxt].tolist()):
             block[p] = row
-        tables.legs.append(block)
+        legs.append(block)
         at += len(ps)
-
-
-def _pair_gaps(tables: _Tables) -> np.ndarray:
-    """Envy gap per (first POI, last POI) pair, shape (n1, nk); for k = 1
-    each POI is its own pair, shape (n1,)."""
-    if len(tables.cats) == 1:
-        return _end_gap(tables.s_np, tables.t_np)
-    return _end_gap(tables.s_np[:, None, :], tables.t_np[None, :, :])
+    return legs
 
 
 def _gap_minimum(gaps: np.ndarray, k: int) -> tuple[float, tuple[int, ...]]:
@@ -247,10 +267,10 @@ def _combo(cats, pos: tuple[int, ...]) -> PoiCombination:
     return tuple(c[p] for c, p in zip(cats, pos))
 
 
-def _table_route(query: EfGtpQuery, tables: _Tables, pos: tuple[int, ...]) -> EvaluatedRoute:
-    """Evaluate the combination at positions pos from the tables' legs, so
-    its numbers are the ones the search compared."""
-    chain = [leg[p][q] for leg, p, q in zip(tables.legs, pos, pos[1:])]
+def _table_route(query: EfGtpQuery, tables: _Tables, legs, pos: tuple[int, ...]) -> EvaluatedRoute:
+    """Evaluate the combination at positions pos from the tables' end legs
+    and the chain legs, so its numbers are the ones the search compared."""
+    chain = [leg[p][q] for leg, p, q in zip(legs, pos, pos[1:])]
     s, t = tables.s_cols[pos[0]], tables.t_cols[pos[-1]]
     return _route(_combo(tables.cats, pos), s, chain, t, query.envy_threshold)
 
@@ -261,21 +281,20 @@ def _fast_solve(query: EfGtpQuery, tables: _Tables, oracle: DistanceOracle):
     POIs with a feasible last partner (no row at all when none is). On a
     cold oracle (_should_prune), only the rows that the landmark bound
     cannot rule out are fetched and searched."""
-    gaps = _pair_gaps(tables)
-    min_gap, witness = _gap_minimum(gaps, query.k)
-    feasible = gaps <= query.envy_threshold
-    count = int(feasible.sum()) * math.prod(len(c) for c in tables.cats[1:-1])
-    if count == 0:
+    min_gap, witness = tables.min_gap, tables.witness
+    if min_gap > query.envy_threshold:  # no pair is feasible
         return None, 0, min_gap, witness
+    feasible = tables.gaps <= query.envy_threshold
+    count = int(feasible.sum()) * math.prod(len(c) for c in tables.cats[1:-1])
     # first positions with a feasible last partner (k = 1: one column each)
     firsts = np.flatnonzero(feasible.reshape(len(feasible), -1).any(axis=1)).tolist()
     # the first and interior positions to walk; k = 1 reads no chain row
     positions = [firsts, *(range(len(c)) for c in tables.cats[1:-1])][: query.k - 1]
     if positions and _should_prune(query, tables, oracle, positions):
         positions = _pruned_positions(query, tables, oracle, feasible, positions)
-    _fetch_chain(tables, oracle, positions)
-    optimal = _table_route(query, tables, _cheapest_feasible(tables, feasible, positions))
-    return optimal, count, min_gap, witness
+    legs = _fetch_chain(tables, oracle, positions)
+    pos = _cheapest_feasible(tables, legs, feasible, positions)
+    return _table_route(query, tables, legs, pos), count, min_gap, witness
 
 
 def _chain_rows(query: EfGtpQuery, tables: _Tables, positions) -> set[int]:
@@ -443,18 +462,18 @@ def _pruned_positions(
     return out
 
 
-def _cheapest_feasible(tables: _Tables, feasible: np.ndarray, positions) -> tuple[int, ...]:
+def _cheapest_feasible(tables: _Tables, legs, feasible: np.ndarray, positions) -> tuple[int, ...]:
     """Positions of the cheapest combination whose (first, last) pair is
     feasible (ties: first in enumeration order), among the combinations
     through the first and interior positions in positions, each in
-    increasing order (k = 1: every feasible POI). At least one pair must be
-    feasible."""
+    increasing order (k = 1: every feasible POI), read from the chain legs
+    of those positions. At least one pair must be feasible."""
     s_cols, t_cols = tables.s_cols, tables.t_cols
     if len(tables.cats) == 1:  # min keeps the first of equal keys
         firsts = np.flatnonzero(feasible).tolist()
         return (min(firsts, key=lambda p: _left_sum(_member_distances(s_cols[p], (), t_cols[p]))),)
     best_agg, best_pos = math.inf, None
-    *inner_legs, last_legs = tables.legs
+    *inner_legs, last_legs = legs
     firsts, *interior = positions
     for p1 in firsts:
         lasts = np.flatnonzero(feasible[p1]).tolist()
@@ -487,12 +506,12 @@ def _faithful_solve(query: EfGtpQuery, tables: _Tables, oracle: DistanceOracle, 
     kernel of evaluate_route, and keep the feasible count, the first gap
     minimum and the first cheapest feasible route. matrix_writer, when
     given, receives every route."""
-    _fetch_chain(tables, oracle, [range(len(c)) for c in tables.cats[:-1]])
+    legs = _fetch_chain(tables, oracle, [range(len(c)) for c in tables.cats[:-1]])
     total = query.categories.combination_count()
     optimal, count, min_gap, witness = None, 0, math.inf, None
     positions = itertools.product(*(range(len(c)) for c in tables.cats))
     for done, pos in enumerate(positions, start=1):
-        route = _table_route(query, tables, pos)
+        route = _table_route(query, tables, legs, pos)
         if route.feasible:
             count += 1
             if optimal is None or route.aggregated < optimal.aggregated:
@@ -526,12 +545,17 @@ def solve_exact(
     pair is feasible) and searches only those combinations. On an oracle
     that holds none of those rows, the member rows serve as landmarks
     whose lower bounds rule rows out first; two more calls at most then
-    fetch the rest, with the same outcome to the bit.
-    faithful=True is the reference: it fetches every chain row and
-    evaluates each combination through the route kernel of
-    evaluate_route. The two agree bit for bit. faithful costs about 5x
-    the default's search of the same combinations (125,000 combinations
-    at b = 12: about 1.2 s on a shared 2-CPU x86 host).
+    fetch the rest, with the same outcome to the bit. The member rows'
+    tables are memoized on the oracle (one entry, keyed by the query
+    without its threshold), so a re-solve at another threshold,
+    min_additional_distance and gap_distribution of the same query reuse
+    them; the chain legs are fetched per solve.
+    faithful=True is the reference: it builds its tables without the
+    memo, fetches every chain row and evaluates each combination through
+    the route kernel of evaluate_route. The two agree bit for bit.
+    faithful costs about 5x the default's search of the same combinations
+    (125,000 combinations at b = 12: about 1.2 s on a shared 2-CPU x86
+    host).
     debug_matrix receives one CSV row per combination (forces faithful;
     at most 1e6). Faithful solves log a tick every PROGRESS_EVERY combinations.
     """
@@ -546,10 +570,11 @@ def solve_exact(
         faithful = True
         writer_fn = _matrix_writer(debug_matrix, query, oracle.net)
 
-    tables = _prepare_tables(query, oracle)
-    if faithful:
+    if faithful:  # the reference neither reads nor writes the memo
+        tables = _prepare_tables(query, oracle)
         optimal, count, min_gap, witness = _faithful_solve(query, tables, oracle, writer_fn)
     else:
+        tables = _tables(query, oracle)
         optimal, count, min_gap, witness = _fast_solve(query, tables, oracle)
     return SolveOutcome(
         optimal=optimal,
@@ -565,10 +590,11 @@ def gap_distribution(query: EfGtpQuery, oracle: DistanceOracle) -> np.ndarray:
 
     The array holds one unweighted entry per pair, although each pair
     stands for one combination per interior choice. Its quantiles are
-    therefore quantiles over pairs, not over the combination space.
+    therefore quantiles over pairs, not over the combination space. The
+    array is a fresh copy of the oracle's memoized table (_tables).
     """
     query.validate_against(oracle.net)
-    return _pair_gaps(_prepare_tables(query, oracle)).ravel()
+    return _tables(query, oracle).gaps.flatten()
 
 
 def min_additional_distance(
@@ -579,16 +605,21 @@ def min_additional_distance(
     Only meaningful when the query has no feasible combination; calling it
     on a feasible instance raises. Re-solving with threshold + epsilon is
     guaranteed feasible, and every newly feasible combination attains d.
+
+    d is the minimum of the pair-gap table that a fast solve_exact of the
+    same query builds. The oracle keeps that table in a one-entry memo
+    keyed by (query.group, query.categories), so MAD after a solve, and the
+    re-solve at threshold + epsilon, build nothing; a different query
+    replaces the entry.
     """
     query.validate_against(oracle.net)
-    tables = _prepare_tables(query, oracle)
-    gaps = _pair_gaps(tables)
-    if (gaps <= query.envy_threshold).any():
+    tables = _tables(query, oracle)
+    d = tables.min_gap
+    if d <= query.envy_threshold:  # some pair, so some combination, is feasible
         raise ValueError(
             "query already has feasible combinations; no additional distance needed"
         )
-    d, pos = _gap_minimum(gaps, query.k)
-    return d, d - query.envy_threshold, _combo(tables.cats, pos)
+    return d, d - query.envy_threshold, _combo(tables.cats, tables.witness)
 
 
 # ---------------------------------------------------------------------------

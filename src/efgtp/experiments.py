@@ -221,9 +221,11 @@ def run_sweep(config: SweepConfig, net: Optional[RoadNetwork] = None) -> list[Sw
 
     One on-demand oracle serves every solve. Each (k, seed) instance is
     sampled at D = 0 and re-solved across the threshold grid: the config's
-    list, or the instance's gap quantiles. The instance is fixed across the
-    grid, so exact-solver rows show non-decreasing feasible counts and
-    constant D + epsilon on the infeasible prefix. With exact-faithful
+    list, or the instance's distinct gap quantiles (quantiles that coincide
+    give one D, so an instance can have fewer rows than d_quantiles). The
+    instance is fixed across the grid, so exact-solver rows show
+    non-decreasing feasible counts and constant D + epsilon on the
+    infeasible prefix. With exact-faithful
     listed, a largest instance over FAITHFUL_COMBINATION_GUARD combinations
     raises CapacityError before the dataset loads.
     """
@@ -250,7 +252,8 @@ def run_sweep(config: SweepConfig, net: Optional[RoadNetwork] = None) -> list[Sw
             if config.d_values is not None:
                 thresholds = config.d_values
             else:
-                thresholds = threshold_quantiles(query, oracle, config.d_quantiles)
+                # coinciding quantiles name one cell: solve it once
+                thresholds = dict.fromkeys(threshold_quantiles(query, oracle, config.d_quantiles))
             for D in thresholds:
                 q = query.with_threshold(float(D))
                 records.extend(

@@ -34,7 +34,17 @@ class DistanceOracle:
     otherwise (on-demand mode) rows are memoized as sources are queried,
     running Dijkstra on net.csgraph. Insertion is lock-protected so that
     concurrent readers never observe a partially built row.
+
+    pair_tables is a one-entry memo for efgtp.exact: (key, tables), where
+    key is (query.group, query.categories) and tables the threshold-free
+    part of a fast solve of that query (member rows, end legs, the
+    read-only pair-gap table and its first minimum), about 2b*n + n1*nk
+    floats. A fast solve, min_additional_distance or gap_distribution of
+    another query replaces it whole; faithful solves neither read nor
+    write it. None until the first of them.
     """
+
+    pair_tables: Optional[tuple]
 
     def __init__(self, net: RoadNetwork, matrix: Optional[np.ndarray] = None):
         self.net = net
@@ -44,6 +54,7 @@ class DistanceOracle:
             matrix.setflags(write=False)
             self._rows.update(enumerate(matrix))
         self._lock = threading.Lock()
+        self.pair_tables = None
 
     @property
     def vertex_count(self) -> int:

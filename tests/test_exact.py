@@ -6,6 +6,9 @@ import itertools
 import json
 import logging
 import math
+import re
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -558,9 +561,118 @@ def test_pruned_solve_logs_its_rows(europe, caplog):
         solve_exact(q, build_oracle(europe, FULL))  # a full oracle does not prune
     fetched = len(set(cold._rows) - members)
     assert 0 < fetched < 20
-    assert [r.message for r in caplog.records] == [
+    messages = [r.message for r in caplog.records]
+    assert [m for m in messages if not m.startswith("pair-gap table")] == [
         f"landmark bound: fetched {fetched} of 20 chain rows"
     ]
+
+
+def outcome(fn, query, oracle) -> str:
+    """repr of one call's answer (an array as its list of floats), or of
+    the ValueError it raises."""
+    try:
+        out = fn(query, oracle)
+    except ValueError as e:
+        return f"ValueError({e})"
+    return repr(out.tolist() if isinstance(out, np.ndarray) else out)
+
+
+class TestPairTableMemo:
+    """An oracle keeps one query's pair-gap tables; a hit must give the
+    answers of a fresh oracle to the bit, whatever came before it."""
+
+    def pairs(self, net, k, b):
+        """Two (A, B) query pairs at D = 0: the same categories with other
+        members, and the same members with another last category."""
+        cats = assign_categories(net, k + 1, 6, seed=900 + 10 * k + b).categories
+        a = generate_query(net, b, CategoryAssignment(cats[:k]), D=0.0, seed=k * b)
+        other = generate_query(net, b, a.categories, D=0.0, seed=k * b + 1)
+        last = EfGtpQuery(a.group, CategoryAssignment((*cats[: k - 1], cats[k])), 0.0)
+        return (a, other), (a, last)
+
+    def thresholds(self, net, q):
+        """0, the exact minimum pair gap, and infinity."""
+        return 0.0, float(gap_distribution(q, build_oracle(net)).min()), math.inf
+
+    def test_warm_memo_answers_equal_fresh_oracle_answers(self, europe):
+        shared = (build_oracle(europe), build_oracle(europe, FULL))
+        for k in (1, 2, 3):
+            for b in (1, 4):
+                for a, other in self.pairs(europe, k, b):
+                    da, db = self.thresholds(europe, a), self.thresholds(europe, other)
+                    for r in range(3):
+                        steps = [
+                            (solve_exact, a.with_threshold(da[r])),
+                            (solve_exact, other.with_threshold(db[(r + 1) % 3])),
+                            (solve_exact, a.with_threshold(da[(r + 2) % 3])),
+                            (min_additional_distance, a.with_threshold(da[r])),
+                            (gap_distribution, other),
+                        ]
+                        want = [outcome(fn, q, build_oracle(europe)) for fn, q in steps]
+                        for oracle in shared:
+                            assert [outcome(fn, q, oracle) for fn, q in steps] == want
+
+    def test_faithful_solves_bypass_the_memo(self, europe):
+        (a, other), _ = self.pairs(europe, 2, 4)
+        oracle = build_oracle(europe)
+        modes = ({"faithful": True}, {"debug_matrix": io.StringIO()})
+        for kwargs in modes:
+            solve_exact(a, oracle, **kwargs)
+            assert oracle.pair_tables is None
+        solve_exact(other, oracle)
+        entry = oracle.pair_tables
+        assert entry[0] == (other.group, other.categories)
+        for kwargs in modes:
+            for q in (a, other):
+                solve_exact(q, oracle, **kwargs)
+                assert oracle.pair_tables is entry
+
+    def test_writing_into_gap_distribution_changes_no_answer(self, europe):
+        (a, _), _ = self.pairs(europe, 3, 4)
+        steps = [(solve_exact, a.with_threshold(D)) for D in self.thresholds(europe, a)]
+        steps += [(min_additional_distance, a), (gap_distribution, a)]
+        want = [outcome(fn, q, build_oracle(europe)) for fn, q in steps]
+        oracle = build_oracle(europe)
+        gaps = gap_distribution(a, oracle)
+        gaps[:] = -1.0
+        assert not oracle.pair_tables[1].gaps.flags.writeable
+        assert [outcome(fn, q, oracle) for fn, q in steps] == want
+
+    def test_threads_alternating_two_queries_get_the_serial_answers(self, europe):
+        (a, other), _ = self.pairs(europe, 3, 4)
+        fns = (solve_exact, min_additional_distance)
+        steps = {
+            q: [(fn, q.with_threshold(D)) for D in self.thresholds(europe, q) for fn in fns]
+            + [(gap_distribution, q)]
+            for q in (a, other)
+        }
+        serial = {q: [outcome(fn, x, build_oracle(europe)) for fn, x in steps[q]] for q in steps}
+        oracle = build_oracle(europe)
+
+        def work(order):
+            return [[outcome(fn, x, oracle) for fn, x in steps[q]] for q in order * 10]
+
+        orders = [(a, other), (other, a)] * 2  # more threads than the CI host has cores
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads as often as the interpreter can
+        try:
+            with ThreadPoolExecutor(max_workers=len(orders)) as pool:
+                futures = [pool.submit(work, order) for order in orders]
+                results = [f.result(timeout=120) for f in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        for order, got in zip(orders, results):
+            assert got == [serial[q] for q in order * 10]
+
+    def test_logs_built_then_reused(self, europe, caplog):
+        (a, _), _ = self.pairs(europe, 2, 4)
+        oracle = build_oracle(europe)
+        with caplog.at_level(logging.INFO, logger="efgtp.exact"):
+            assert not solve_exact(a, oracle).feasible
+            min_additional_distance(a, oracle)
+        built, reused = [r.message for r in caplog.records]
+        assert re.fullmatch(r"pair-gap table built \(6 x 6, \d+\.\d\d ms\)", built)
+        assert reused == "pair-gap table reused"
 
 
 class TestQueryJson:

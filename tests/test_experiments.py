@@ -9,6 +9,7 @@ import re
 import numpy as np
 import pytest
 
+import efgtp.experiments
 from efgtp import (
     CapacityError,
     SweepConfig,
@@ -285,11 +286,29 @@ class TestRunSweep:
             by_cell.setdefault((r.k, r.seed), []).append(r)
         for rows in by_cell.values():
             rows.sort(key=lambda r: r.D)
-            assert len(rows) == 3
+            # coinciding quantiles give one threshold, solved once
+            assert 1 <= len(rows) == len({r.D for r in rows}) <= 3
             assert rows[0].feasible_count >= 1  # D = min gap: witness is feasible
             assert rows[-1].feasible_count == 3 ** rows[-1].k
             counts = [r.feasible_count for r in rows]
             assert counts == sorted(counts)
+
+    def test_coinciding_quantiles_solve_each_cell_once(self, net25, monkeypatch):
+        solves = []
+        solve = efgtp.experiments._solve
+        monkeypatch.setattr(
+            efgtp.experiments, "threshold_quantiles", lambda *args: (2.0, 2.0, 0.5, 2.0, 9.0)
+        )
+        monkeypatch.setattr(
+            efgtp.experiments, "_solve", lambda q, *args: (solves.append(q), solve(q, *args))[1]
+        )
+        cfg = config(d_values=None, d_quantiles=(0.0, 0.25, 0.5, 0.75, 1.0))
+        records = run_sweep(cfg, net=net25)
+        # the first of each repeat is kept, in the order the quantiles gave them
+        assert [q.envy_threshold for q in solves] == [2.0, 0.5, 9.0] * 4
+        assert sorted((r.k, r.seed, r.D) for r in records) == [
+            (k, seed, D) for k in (1, 2) for seed in (0, 1) for D in (0.5, 2.0, 9.0)
+        ]
 
     def test_indexed_heuristic_runs_with_coords(self, net25):
         rng = np.random.default_rng(502)
