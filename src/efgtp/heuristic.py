@@ -46,14 +46,14 @@ def _pick(points: Sequence[int], candidates: Sequence[int], oracle: DistanceOrac
     The sum starts from 0 and adds the points' rows in the given order;
     ties break to the smallest id. Every candidate id is range-checked.
     Candidates may come in any order and are never written: the pick sorts
-    a copy, which costs little when they already ascend, as
-    CategoryAssignment.sorted_ids do.
+    a copy with numpy's stable sort, one linear pass when they already
+    ascend, as CategoryAssignment.sorted_ids do.
     """
     if not len(candidates):
         raise ValueError("empty candidate set")
     if not len(points):
         raise ValueError("empty query point list")
-    cands = np.sort(candidates)
+    cands = np.sort(candidates, kind="stable")
     oracle._check(int(cands[0]))
     oracle._check(int(cands[-1]))
     oracle.prefetch(points)  # cold rows in one Dijkstra call

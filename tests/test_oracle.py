@@ -1,6 +1,8 @@
 """Distance oracle vs an independent all-pairs reference."""
 
 import math
+import os
+import time
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -24,11 +26,13 @@ from efgtp import (
     largest_connected_component,
     load_network,
     min_additional_distance,
+    minnesota_like,
     parse_edge_list,
     solve_exact,
     solve_heuristic,
 )
 
+from efgtp.synthetic import random_geometric_network
 from support import floyd_warshall, random_network
 
 
@@ -216,6 +220,10 @@ def test_rows_are_read_only():
     row = oracle.row(0)
     with pytest.raises(ValueError):
         row[0] = 5.0
+    # nor through the array that owns the rows' memory, in either mode
+    for oracle in (oracle, build_oracle(net, FULL)):
+        with pytest.raises(ValueError):
+            oracle.row(0).base[0, 1] = 5.0
 
 
 @pytest.fixture(scope="module")
@@ -421,3 +429,95 @@ class TestConnectivityOnce:
         moved = lcc.with_coords(np.zeros((3, 2)))
         assert is_connected(moved) and labelled == [1, 1, 1]
         assert is_connected(moved) and is_connected(lcc) and labelled == [1, 1, 1]
+
+
+class TestForkedBuild:
+    """A full build above the fork threshold runs in forked workers, each
+    streaming a contiguous range of rows; the matrix must equal one serial
+    Dijkstra call to the bit."""
+
+    @pytest.fixture
+    def counted(self, monkeypatch):
+        """The rows of each Dijkstra call this process makes (forked
+        workers' calls are not seen), with the worker count set to 3."""
+        calls = []
+        search = efgtp.oracle._dijkstra
+
+        def count(graph, **kw):
+            out = search(graph, **kw)
+            calls.append(len(out))
+            return out
+
+        monkeypatch.setattr(efgtp.oracle, "_dijkstra", count)
+        monkeypatch.setattr(efgtp.oracle, "_workers", lambda: 3)
+        return calls
+
+    @staticmethod
+    def bits(a):
+        return np.ascontiguousarray(a).view(np.int64)
+
+    def check_full(self, net, oracle):
+        """oracle's rows are views of one private read-only array, bitwise
+        equal to a serial directed search and to on-demand rows."""
+        n = net.vertex_count
+        matrix = oracle.row(0).base
+        assert matrix.shape == (n, n) and matrix.flags.owndata and not matrix.flags.writeable
+        assert all(oracle.row(s).base is matrix for s in (1, n // 2, n - 1))
+        serial = dijkstra(net.csgraph, directed=True)
+        assert np.array_equal(self.bits(matrix), self.bits(serial))
+        sources = [int(s) for s in np.random.default_rng(115).integers(0, n, size=40)]
+        assert np.array_equal(self.bits(build_oracle(net).rows(sources)), self.bits(matrix[sources]))
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_europe(self, europe, counted, monkeypatch, workers):
+        monkeypatch.setattr(efgtp.oracle, "_workers", lambda: workers)
+        oracle = build_oracle(europe, FULL)
+        assert counted == []  # every row came from a worker
+        self.check_full(europe, oracle)
+
+    def test_minnesota(self, counted):
+        net = minnesota_like()
+        oracle = build_oracle(net, FULL)
+        assert counted == []
+        self.check_full(net, oracle)
+
+    def test_threshold(self, counted):
+        at = efgtp.oracle._FORK_MIN_VERTICES
+        below = random_geometric_network(at - 1, at + at // 4, seed=5)
+        self.check_full(below, build_oracle(below, FULL))
+        assert counted[0] == at - 1  # one serial call
+        del counted[:]
+        above = random_geometric_network(at, at + at // 4, seed=5)
+        oracle = build_oracle(above, FULL)
+        assert counted == []
+        self.check_full(above, oracle)
+
+    def test_serial_without_fork(self, europe, counted, monkeypatch):
+        monkeypatch.delattr(os, "fork")
+        oracle = build_oracle(europe, FULL)
+        assert counted == [europe.vertex_count]
+        monkeypatch.undo()
+        self.check_full(europe, oracle)
+
+    def test_failed_worker_names_its_rows(self, europe, counted, monkeypatch, capfd):
+        # three workers: rows 0..390, 391..781 and 782..1173; the second
+        # fails on its first block while the third hangs
+        search = efgtp.oracle._dijkstra
+
+        def faulty(graph, directed, indices):
+            if indices[0] == 391:
+                raise OSError("injected fault")
+            if indices[0] >= 782:
+                time.sleep(60)
+            return search(graph, directed=directed, indices=indices)
+
+        monkeypatch.setattr(efgtp.oracle, "_dijkstra", faulty)
+        start = time.perf_counter()
+        with pytest.raises(RuntimeError, match=r"distance rows 391\.\.781 failed .*exit code 1"):
+            build_oracle(europe, FULL)
+        assert time.perf_counter() - start < 30  # the hanging worker was killed
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)  # and every worker reaped
+        assert "OSError: injected fault" in capfd.readouterr().err
+        monkeypatch.setattr(efgtp.oracle, "_dijkstra", search)
+        self.check_full(europe, build_oracle(europe, FULL))
