@@ -180,10 +180,13 @@ def threshold_quantiles(
 
 
 def load_network(dataset: str, coords: Optional[str] = None) -> RoadNetwork:
-    """Read an edge list (plus optional coordinates), keep the largest component."""
+    """Read an edge list (plus optional coordinates), keep the largest component.
+
+    The network is built once: the checked coordinates are set on it.
+    """
     net = parse_edge_list(Path(dataset).read_text())
     if coords is not None:
-        net = net.with_coords(parse_coords(Path(coords).read_text(), net))
+        net.coords = parse_coords(Path(coords).read_text(), net)  # (n, 2), finite
     if not is_connected(net):
         before = net.vertex_count
         net = largest_connected_component(net)

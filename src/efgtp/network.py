@@ -5,14 +5,21 @@ The edge-list parser and the component filter both build their networks
 through one pass, `_densify`: ids in first-appearance order over the edge
 sequence, each pair once as u < v with its minimum weight. That keeps
 parse -> serialize -> parse an exact round trip.
+
+Reading works on whole arrays, not line by line: the text is split into
+lines once and into tokens once, with one token count per line; each
+check runs over all lines at once, and the first bad line (in line order)
+raises the message a line-by-line reading would give it. tests/support.py
+keeps that line-by-line reading as the reference.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Hashable, Iterable, Iterator, Mapping
+from collections.abc import Mapping
 from dataclasses import dataclass, field, replace
 from functools import cached_property
+from itertools import chain, repeat
 from types import MappingProxyType
 from typing import Optional
 
@@ -33,7 +40,9 @@ class RoadNetwork:
     external_ids[i] is the original dataset token for internal id i.
     coords, when present, is an (n, 2) float64 array of finite planar positions.
     csgraph is the symmetric CSR adjacency, built from the edges on first use;
-    component_labels stores its result beside it on first use.
+    component_labels stores its result beside it on first use. The edges are
+    also kept as an (m, 3) float64 array of (u, v, w) rows, which the checks
+    and the CSR build read.
     """
 
     vertex_count: int
@@ -41,6 +50,7 @@ class RoadNetwork:
     external_ids: tuple[str, ...]
     coords: Optional[np.ndarray] = None
     _ext_index: dict[str, int] = field(init=False, repr=False)
+    _edge_array: np.ndarray = field(init=False, repr=False)
     _csgraph: Optional[csr_matrix] = field(init=False, repr=False, default=None)
     _components: Optional[tuple[np.ndarray, int]] = field(init=False, repr=False, default=None)
 
@@ -50,19 +60,16 @@ class RoadNetwork:
             raise ValueError("vertex_count must be nonnegative")
         if len(self.external_ids) != n:
             raise ValueError("external_ids must have one entry per vertex")
-        seen_pairs: set[tuple[int, int]] = set()
-        for u, v, w in self.edges:
-            if not (0 <= u < n and 0 <= v < n):
-                raise ValueError(f"edge ({u}, {v}) endpoint out of range [0, {n})")
-            if u == v:
-                raise ValueError(f"self-loop on vertex {u}")
-            if u > v:
-                raise ValueError(f"edge ({u}, {v}) not normalized to u < v")
-            if (u, v) in seen_pairs:
-                raise ValueError(f"parallel edge ({u}, {v})")
-            seen_pairs.add((u, v))
-            if not (0.0 < w < math.inf):
-                raise ValueError(f"edge ({u}, {v}) weight must be positive and finite, got {w}")
+        if not all(map(isinstance, self.external_ids, repeat(str))):
+            bad = next(ext for ext in self.external_ids if not isinstance(ext, str))
+            raise ValueError(f"external id {bad!r} is not a string")
+        if set(map(len, self.edges)) - {3}:
+            bad = next(e for e in self.edges if len(e) != 3)
+            raise ValueError(f"edge {bad!r} is not a (u, v, w) triple")
+        edges = chain.from_iterable(self.edges)
+        self._edge_array = np.fromiter(edges, np.float64, 3 * len(self.edges)).reshape(-1, 3)
+        if self.edges:
+            self._check_edges()
         if self.coords is not None:
             coords = np.asarray(self.coords, dtype=np.float64)
             if coords.shape != (n, 2):
@@ -74,9 +81,39 @@ class RoadNetwork:
                 ext = self.external_ids[i]
                 raise ValueError(f"vertex {ext}: coordinates must be finite, got ({x}, {y})")
             self.coords = coords
-        self._ext_index = {ext: i for i, ext in enumerate(self.external_ids)}
+        self._ext_index = dict(zip(self.external_ids, range(n)))
         if len(self._ext_index) != n:
             raise ValueError("external ids must be distinct")
+
+    def _check_edges(self) -> None:
+        """Check every edge in one pass over its columns; the first offender,
+        in edge order, raises the message of its first failed check."""
+        n = self.vertex_count
+        u, v, w = self._edge_array.T
+        bad = ~((0 <= u) & (u < n) & (0 <= v) & (v < n)) | (u >= v)
+        bad |= ~((0.0 < w) & (w < math.inf))
+        # u * n + v is exact and one-to-one on in-range pairs while n * n < 2**53;
+        # an edge out of range fails before any later edge that shares its key
+        key = u * n + v
+        again = np.zeros(len(key), dtype=bool)
+        ranked = np.sort(key)
+        if (ranked[1:] == ranked[:-1]).any():  # some pair repeats: mark all but its first
+            again[:] = True
+            again[np.unique(key, return_index=True)[1]] = False
+        bad |= again
+        if not bad.any():
+            return
+        i = int(np.argmax(bad))
+        u, v, w = self.edges[i]
+        if not (0 <= u < n and 0 <= v < n):
+            raise ValueError(f"edge ({u}, {v}) endpoint out of range [0, {n})")
+        if u == v:
+            raise ValueError(f"self-loop on vertex {u}")
+        if u > v:
+            raise ValueError(f"edge ({u}, {v}) not normalized to u < v")
+        if again[i]:
+            raise ValueError(f"parallel edge ({u}, {v})")
+        raise ValueError(f"edge ({u}, {v}) weight must be positive and finite, got {w}")
 
     @property
     def edge_count(self) -> int:
@@ -86,7 +123,7 @@ class RoadNetwork:
     def csgraph(self) -> csr_matrix:
         if self._csgraph is None:
             n = self.vertex_count
-            e = np.asarray(self.edges, dtype=np.float64).reshape(-1, 3)
+            e = self._edge_array
             u, v, w = e[:, 0].astype(np.int64), e[:, 1].astype(np.int64), e[:, 2]
             rows, cols = np.concatenate((u, v)), np.concatenate((v, u))  # both directions
             self._csgraph = csr_matrix((np.concatenate((w, w)), (rows, cols)), shape=(n, n))
@@ -203,62 +240,83 @@ class GroupSpec:
                 raise ValueError(f"group vertex {v} not in network")
 
 
-def _densify(
-    triples: Iterable[tuple[Hashable, Hashable, float]],
-) -> tuple[list, tuple[Edge, ...]]:
-    """Labelled edges (x, y, w) -> (labels, edges) over dense ids.
+def _densify(pairs: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, tuple[Edge, ...]]:
+    """Labelled edges (x, y, w), x != y, as an (m, 2) array of non-negative
+    integer labels and its weights -> (labels, edges) over dense ids.
 
     Labels get ids in first-appearance order, x before y; labels[i] is the
     label of id i. Each unordered pair is kept once as (u, v) with u < v,
     at the position of its first appearance, with its minimum weight.
     """
-    ids: dict = {}
-    edges: list[list] = []  # [u, v, w], mutable for the min-weight rule
-    pos: dict[tuple[int, int], int] = {}
-    for x, y, w in triples:
-        u = ids.setdefault(x, len(ids))
-        v = ids.setdefault(y, len(ids))
-        pair = (u, v) if u < v else (v, u)
-        i = pos.setdefault(pair, len(edges))
-        if i == len(edges):
-            edges.append([*pair, w])
-        elif w < edges[i][2]:
-            edges[i][2] = w
-    return list(ids), tuple((u, v, w) for u, v, w in edges)
+    flat = pairs.ravel()
+    first = np.full(int(flat.max(initial=-1)) + 1, len(flat))
+    np.minimum.at(first, flat, np.arange(len(flat)))
+    labels = np.flatnonzero(first < len(flat))
+    labels = labels[np.argsort(first[labels])]
+    rank = np.empty(len(first), dtype=np.int64)
+    rank[labels] = np.arange(len(labels))
+    ids = rank[pairs]
+    u, v = np.minimum(ids[:, 0], ids[:, 1]), np.maximum(ids[:, 0], ids[:, 1])
+    key = u * len(labels) + v
+    ranked = np.sort(key)
+    if (ranked[1:] == ranked[:-1]).any():  # some pair repeats
+        _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
+        lightest = np.full(len(first), np.inf)
+        np.minimum.at(lightest, inverse, w)
+        order = np.argsort(first)  # the pairs in first-appearance order
+        u, v, w = u[first[order]], v[first[order]], lightest[order]
+    return labels, tuple(zip(u.tolist(), v.tolist(), w.tolist()))
 
 
-def _edge_lines(text: str) -> Iterator[tuple[str, str, float]]:
-    """(u_token, v_token, weight) per edge line of an edge list, self-loops skipped."""
-    size_line_pending = False
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        if line.startswith("%") or line.startswith("#"):
-            if line.lower().startswith("%%matrixmarket"):
-                size_line_pending = True
-            continue
-        if size_line_pending:
-            # MatrixMarket coordinate size line: "rows cols nnz"
-            size_line_pending = False
-            continue
-        parts = line.split()
-        if len(parts) < 2 or len(parts) > 3:
-            raise ValueError(f"line {lineno}: malformed edge line {line!r}")
-        u_tok, v_tok = parts[0], parts[1]
-        if u_tok == v_tok:
-            continue  # self-loop
-        if len(parts) < 3:
-            raise ValueError(f"line {lineno}: missing edge weight in {line!r}")
+def _take(items: list, at: np.ndarray) -> list:
+    return list(map(items.__getitem__, at.tolist()))
+
+
+def _tokenize(text: str) -> tuple:
+    """Lines and whitespace tokens of a text, and where each line's tokens sit.
+
+    Returns (lines, tokens, rows, starts, counts, comment): text.splitlines()
+    and text.split(), then for each line that holds a token its index in
+    lines, the index of its first token in tokens, its token count, and
+    whether it is a comment (its first token starts with '%' or '#').
+    Every line break of splitlines is whitespace to split, so a line's
+    tokens sit in tokens one after another.
+    """
+    lines, tokens = text.splitlines(), text.split()
+    counts = np.fromiter(map(len, map(str.split, lines)), np.int64, len(lines))
+    rows = np.flatnonzero(counts)
+    starts = (np.cumsum(counts) - counts)[rows]
+    comment = np.fromiter(
+        map(str.startswith, _take(tokens, starts), repeat(("%", "#"))), bool, len(rows)
+    )
+    return lines, tokens, rows, starts, counts[rows], comment
+
+
+def _floats(tokens: list[str]) -> np.ndarray:
+    """float() of each token, up to the first one that float() refuses."""
+    try:
+        return np.fromiter(map(float, tokens), np.float64, len(tokens))
+    except ValueError:
+        pass
+    for i, tok in enumerate(tokens):
         try:
-            w = float(parts[2])
+            float(tok)
         except ValueError:
-            raise ValueError(f"line {lineno}: malformed weight {parts[2]!r}") from None
-        if not (0.0 < w < math.inf):
-            raise ValueError(
-                f"line {lineno}: weight must be positive and finite, got {parts[2]}"
-            )
-        yield u_tok, v_tok, w
+            return np.fromiter(map(float, tokens[:i]), np.float64, i)
+
+
+def _edge_line_error(lineno: int, line: str) -> ValueError:
+    """The error of a bad edge line, as the line-by-line reading words it."""
+    parts = line.split()
+    if len(parts) < 2 or len(parts) > 3:
+        return ValueError(f"line {lineno}: malformed edge line {line!r}")
+    if len(parts) < 3:
+        return ValueError(f"line {lineno}: missing edge weight in {line!r}")
+    try:
+        float(parts[2])
+    except ValueError:
+        return ValueError(f"line {lineno}: malformed weight {parts[2]!r}")
+    return ValueError(f"line {lineno}: weight must be positive and finite, got {parts[2]}")
 
 
 def parse_edge_list(text: str) -> RoadNetwork:
@@ -267,65 +325,121 @@ def parse_edge_list(text: str) -> RoadNetwork:
     Lines starting with '%' or '#' are comments. A MatrixMarket banner makes
     the following size line be skipped. Vertex tokens are remapped to dense
     0-based ids in first-appearance order; parallel edges collapse to the
-    minimum weight; self-loops are dropped.
+    minimum weight; self-loops are dropped. The first bad line raises,
+    with its number.
     """
-    labels, edges = _densify(_edge_lines(text))
-    if not edges:
+    lines, tokens, rows, starts, counts, comment = _tokenize(text)
+    banner = np.zeros(len(rows), dtype=bool)
+    for i in np.flatnonzero(comment).tolist():
+        banner[i] = tokens[starts[i]].lower().startswith("%%matrixmarket")
+    # a banner's size line: the first content line after it, comments between
+    content = np.flatnonzero(~comment)
+    banners = np.cumsum(banner)[content]
+    data = content[banners == np.concatenate(([0], banners[:-1]))]
+    rows, starts, counts = rows[data], starts[data], counts[data]
+    two = np.flatnonzero((counts == 2) | (counts == 3))
+    ends = _take(tokens, np.stack((starts[two], starts[two] + 1), axis=1).ravel())
+    # equal tokens, equal labels: each token's label is its last position in ends
+    last = dict(zip(ends, range(len(ends))))
+    pairs = np.fromiter(map(last.__getitem__, ends), np.int64, len(ends)).reshape(-1, 2)
+    edge = pairs[:, 0] != pairs[:, 1]  # self-loops are skipped
+    bad = np.ones(len(rows), dtype=bool)
+    bad[two] = edge & (counts[two] == 2)
+    weighted = np.flatnonzero(edge & (counts[two] == 3))
+    w = _floats(_take(tokens, starts[two[weighted]] + 2))
+    bad[two[weighted[: len(w)]]] |= ~((0.0 < w) & (w < math.inf))
+    bad[two[weighted[len(w) : len(w) + 1]]] = True  # the weight float() refused
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise _edge_line_error(int(rows[i]) + 1, lines[rows[i]].strip())
+    if not len(w):
         raise ValueError("empty input: no edges found")
-    return RoadNetwork(vertex_count=len(labels), edges=edges, external_ids=tuple(labels))
+    labels, edges = _densify(pairs[weighted], w)
+    ids = tuple(_take(ends, labels))
+    return RoadNetwork(vertex_count=len(ids), edges=edges, external_ids=ids)
+
+
+def _check_written_ids(ids: tuple[str, ...]) -> None:
+    """Raise unless every id reads back as itself: one whitespace-free
+    token that does not start with '%' or '#'."""
+    joined = " " + " ".join(ids)
+    # once the split gives the ids back, a space is only ever before an id
+    if joined.split() == list(ids) and " %" not in joined and " #" not in joined:
+        return
+    bad = next(ext for ext in ids if ext.split() != [ext] or ext.startswith(("%", "#")))
+    raise ValueError(
+        f"vertex id {bad!r} cannot be written: ids are whitespace-free tokens"
+        " that do not start with '%' or '#'"
+    )
 
 
 def format_edge_list(net: RoadNetwork) -> str:
-    """Serialize to `u v w` lines using external ids; inverse of parse."""
-    lines = []
-    for u, v, w in net.edges:
-        lines.append(f"{net.external_ids[u]} {net.external_ids[v]} {float(w)!r}")
-    return "\n".join(lines) + "\n"
+    """Serialize to `u v w` lines using external ids; inverse of parse.
+    An id that would not read back as itself raises ValueError."""
+    ext = net.external_ids
+    _check_written_ids(ext)
+    return "\n".join([f"{ext[u]} {ext[v]} {float(w)!r}" for u, v, w in net.edges]) + "\n"
+
+
+def _coord_line_error(lineno: int, line: str, repeated: bool) -> ValueError:
+    """The error of a bad coordinate line, as the line-by-line reading words it."""
+    parts = line.split()
+    if len(parts) != 3:
+        return ValueError(f"line {lineno}: expected 'id x y', got {line!r}")
+    if repeated:
+        return ValueError(f"line {lineno}: second coordinate line for id {parts[0]!r}")
+    try:
+        float(parts[1]), float(parts[2])
+    except ValueError:
+        return ValueError(f"line {lineno}: malformed coordinates {line!r}")
+    return ValueError(f"line {lineno}: coordinates must be finite, got {line!r}")
 
 
 def parse_coords(text: str, net: RoadNetwork) -> np.ndarray:
     """Parse `id x y` lines into an (n, 2) array aligned with internal ids.
 
     Lines for ids not in the network are ignored; every network vertex
-    must receive a coordinate pair.
+    must receive a coordinate pair. The first bad line raises, with its
+    number; the rows are placed with one gather.
     """
-    coords = np.full((net.vertex_count, 2), np.nan)
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("%") or line.startswith("#"):
-            continue
-        parts = line.split()
-        if len(parts) != 3:
-            raise ValueError(f"line {lineno}: expected 'id x y', got {line!r}")
-        i = net._ext_index.get(parts[0])
-        if i is None:
-            continue
-        if not math.isnan(coords[i, 0]):  # rows start as NaN, so this one is set
-            raise ValueError(f"line {lineno}: second coordinate line for id {parts[0]!r}")
-        try:
-            x, y = float(parts[1]), float(parts[2])
-        except ValueError:
-            raise ValueError(f"line {lineno}: malformed coordinates {line!r}") from None
-        if not (math.isfinite(x) and math.isfinite(y)):
-            raise ValueError(f"line {lineno}: coordinates must be finite, got {line!r}")
-        coords[i] = x, y
-    missing = np.flatnonzero(np.isnan(coords[:, 0]))
+    lines, tokens, rows, starts, counts, comment = _tokenize(text)
+    rows, starts, counts = rows[~comment], starts[~comment], counts[~comment]
+    index = net._ext_index
+    at = np.fromiter(map(index.get, _take(tokens, starts), repeat(-1)), np.int64, len(rows))
+    bad = counts != 3
+    known = np.flatnonzero(~bad & (at >= 0))
+    first_line = np.full(net.vertex_count, len(rows))  # of each known id
+    np.minimum.at(first_line, at[known], known)
+    repeated = np.zeros(len(rows), dtype=bool)
+    repeated[known] = first_line[at[known]] != known
+    bad |= repeated
+    fresh = known[~repeated[known]]
+    x = _floats(_take(tokens, starts[fresh] + 1))
+    y = _floats(_take(tokens, starts[fresh] + 2))
+    read = min(len(x), len(y))
+    bad[fresh[:read]] |= ~(np.isfinite(x[:read]) & np.isfinite(y[:read]))
+    bad[fresh[read : read + 1]] = True  # the first line float() refused
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise _coord_line_error(int(rows[i]) + 1, lines[rows[i]].strip(), bool(repeated[i]))
+    line_of = np.full(net.vertex_count, -1)
+    line_of[at[fresh]] = np.arange(len(fresh))
+    missing = np.flatnonzero(line_of < 0)
     if missing.size:
         first = net.external_ids[int(missing[0])]
         raise ValueError(
             f"{missing.size} vertices have no coordinates (first missing id: {first})"
         )
-    return coords
+    return np.column_stack((x, y))[line_of]
 
 
 def format_coords(net: RoadNetwork) -> str:
+    """Serialize to `id x y` lines; an id that would not read back raises."""
     if net.coords is None:
         raise ValueError("network has no coordinates")
-    lines = []
-    for i in range(net.vertex_count):
-        x, y = float(net.coords[i, 0]), float(net.coords[i, 1])
-        lines.append(f"{net.external_ids[i]} {x!r} {y!r}")
-    return "\n".join(lines) + "\n"
+    _check_written_ids(net.external_ids)
+    x, y = net.coords.T.tolist()
+    return "\n".join([f"{i} {a!r} {b!r}" for i, a, b in zip(net.external_ids, x, y)]) + "\n"
 
 
 def _resolve_ids(net: RoadNetwork, rows, unique: bool = False) -> tuple[tuple[int, ...], ...]:
@@ -383,10 +497,10 @@ def largest_connected_component(net: RoadNetwork) -> RoadNetwork:
     sizes = np.bincount(labels, minlength=count)
     best = int(np.argmax(sizes))  # argmax keeps the first (smallest-id) winner on ties
     keep = labels == best
-    # an edge's endpoints share a component, so testing u picks the kept edges
-    old, edges = _densify((u, v, w) for u, v, w in net.edges if keep[u])
-    if not old:
-        old = [int(np.flatnonzero(keep)[0])]
+    e = net._edge_array
+    e = e[keep[e[:, 0].astype(np.int64)]]  # an edge's endpoints share a component
+    old, edges = _densify(e[:, :2].astype(np.int64), e[:, 2])
+    old = old.tolist() or [int(np.flatnonzero(keep)[0])]
     return RoadNetwork(
         vertex_count=len(old),
         edges=edges,

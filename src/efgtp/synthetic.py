@@ -8,14 +8,18 @@ planar-ish graphs whose edge weights are Euclidean lengths. Two presets
 mirror the vertex/edge counts of the benchmark road networks used in the
 experiments (1.2K/1.4K and 2.6K/3.3K).
 
-One k-d tree serves both steps. For the spanning tree it returns each
-vertex's few nearest points; the predecessors among them are re-scored
-with ``np.hypot``. The row is kept when the farthest hit is farther than
-the best predecessor by more than the rounding gap between the tree's
-distances and ``np.hypot`` (``_MARGIN``): every point outside the hits is
-then strictly farther, so the minimum and all its ties are among the
-hits. Other rows (no predecessor among the hits, or the farthest hit within
-the margin, as among many coincident points) scan the whole prefix instead.
+One k-d tree serves both steps, and its first query, each vertex's few
+nearest points, serves both too. For the spanning tree the predecessors
+among the hits are re-scored with ``np.hypot``. The row is kept when the
+farthest hit is farther than the best predecessor by more than the
+rounding gap between the tree's distances and ``np.hypot`` (``_MARGIN``):
+every point outside the hits is then strictly farther, so the minimum and
+all its ties are among the hits. Other rows (no predecessor among the
+hits, as for early vertices, or the farthest hit within the margin, as
+among many coincident points) ask the tree again for more hits under the
+same certificate, until their prefix is shorter than the hit count; that
+prefix is then scanned. The first query's hits are also the first pool of
+proximity edges.
 """
 
 from __future__ import annotations
@@ -33,10 +37,13 @@ from .network import RoadNetwork
 # _certified_predecessors relies on.
 SCALE = 10_000.0
 
-# Points the tree returns per vertex in the predecessor search, the vertex
-# itself included. On minnesota_like, 8, 12 and 16 neighbours took 13, 13
-# and 10-15 ms and left 330, 212 and 163 rows to the prefix scan.
-_PREDECESSOR_HITS = 13
+# Points the tree returns per vertex, the vertex itself included, in the one
+# query that both steps read: the predecessor search certifies rows from it,
+# and the pairs it forms are the first pool of proximity edges, so another
+# value would generate other networks. With the widened queries, first
+# queries of 6 to 13 hits generated the presets in times within this host's
+# run-to-run spread.
+_HITS = 9
 
 # Certificate margin, relative, with u = 2**-53. The tree's distance,
 # sqrt(fl(fl(dx*dx) + fl(dy*dy))), and np.hypot(dx, dy) start from the same
@@ -48,6 +55,11 @@ _PREDECESSOR_HITS = 13
 # over at most 64 levels, 96u on lengths. 7u + 96u, plus u for rounding the
 # product best * (1 + _MARGIN), stays below 128u.
 _MARGIN = 128 * 2.0**-53
+
+# Rows the hits leave open ask again for _WIDEN times as many, at most
+# about _BATCH_HITS hits per tree query.
+_WIDEN = 4
+_BATCH_HITS = 2**20
 _COINCIDENT_WEIGHT = SCALE * 1e-12  # edge weight between coincident points, exactly 1e-08
 
 
@@ -65,28 +77,33 @@ def random_geometric_network(vertex_count: int, edge_count: int, seed: int) -> R
     rng = np.random.default_rng(seed)
     pts = rng.random((n, 2)) * SCALE
     kdtree = cKDTree(pts)
-    parent = _nearest_predecessors(pts, kdtree)  # keeps the tree road-like
+    dist, hits = kdtree.query(pts, k=min(n, _HITS))  # first hit is the point itself
+    parent = _nearest_predecessors(pts, kdtree, dist, hits)  # keeps the tree road-like
     pairs = list(zip(parent[1:].tolist(), range(1, n)))
 
     extras = m - (n - 1)
     if extras:
         tree_keys = parent[1:] * n + np.arange(1, n)  # pair (a, b), a < b, as the key a*n + b
-        k = min(n - 1, 8)
+        k, nbrs = hits.shape[1] - 1, hits
         while True:
-            _, nbrs = kdtree.query(pts, k=k + 1)  # first hit is the point itself
             i, j = np.repeat(np.arange(n), k + 1), nbrs.ravel()
             near = i != j
-            keys = np.minimum(i, j)[near] * n + np.maximum(i, j)[near]
-            candidates = np.setdiff1d(keys, tree_keys)  # sorted, unique
+            keys = np.sort(np.minimum(i, j)[near] * n + np.maximum(i, j)[near])
+            keys = keys[np.concatenate(([True], keys[1:] != keys[:-1]))]  # unique
+            candidates = keys[~np.isin(keys, tree_keys, assume_unique=True)]
             if len(candidates) >= extras or k == n - 1:
                 break
             k = min(n - 1, k * 2)  # widen the neighborhood until enough pairs
-        candidates = list(zip((candidates // n).tolist(), (candidates % n).tolist()))
-        rng.shuffle(candidates)
-        pairs.extend(candidates[:extras])
+            _, nbrs = kdtree.query(pts, k=k + 1)
+        rng.shuffle(candidates)  # the permutation a list of the pairs would get
+        chosen = candidates[:extras]
+        pairs.extend(zip((chosen // n).tolist(), (chosen % n).tolist()))
+
+    xy = pts.tolist()
 
     def weight(u: int, v: int) -> float:
-        w = float(math.hypot(pts[u, 0] - pts[v, 0], pts[u, 1] - pts[v, 1]))
+        (ux, uy), (vx, vy) = xy[u], xy[v]
+        w = math.hypot(ux - vx, uy - vy)
         return w if w > 0.0 else _COINCIDENT_WEIGHT
 
     edges = tuple((u, v, weight(u, v)) for u, v in pairs)
@@ -96,31 +113,46 @@ def random_geometric_network(vertex_count: int, edge_count: int, seed: int) -> R
     )
 
 
-def _certified_predecessors(pts: np.ndarray, tree) -> np.ndarray:
-    """Each vertex's nearest predecessor where the tree's hits certify it, else -1.
+def _certified_predecessors(
+    pts: np.ndarray, rows: np.ndarray, dist: np.ndarray, hits: np.ndarray
+) -> np.ndarray:
+    """Nearest predecessor of each vertex in rows where its tree hits certify it, else -1.
 
-    Precondition: every squared coordinate difference is finite, and normal if nonzero.
+    dist and hits are the tree's answer for pts[rows]: each row's k nearest
+    points, nearest first, and their distances. Precondition: every squared
+    coordinate difference is finite, and normal if nonzero.
     """
-    n = len(pts)
-    k, rows = min(n, _PREDECESSOR_HITS), np.arange(n)
-    dist, hits = tree.query(pts, k=k)
+    n, k, at = len(pts), hits.shape[1], np.arange(len(rows))
     hits = np.sort(hits, axis=1)  # by id, so that argmin keeps the smallest tied id
-    d = np.hypot(pts[hits, 0] - pts[:, None, 0], pts[hits, 1] - pts[:, None, 1])
+    d = np.hypot(pts[hits, 0] - pts[rows, None, 0], pts[hits, 1] - pts[rows, None, 1])
     d[hits >= rows[:, None]] = np.inf
     col = d.argmin(axis=1)
-    best, far = d[rows, col], dist[:, -1]
+    best, far = d[at, col], dist[:, -1]
     sure = (best < np.inf) & ((k == n) | (far > best * (1 + _MARGIN)))
-    return np.where(sure, hits[rows, col], -1)
+    return np.where(sure, hits[at, col], -1)
 
 
-def _nearest_predecessors(pts: np.ndarray, tree) -> np.ndarray:
+def _nearest_predecessors(pts: np.ndarray, tree, dist: np.ndarray, hits: np.ndarray) -> np.ndarray:
     """parent[i] is the nearest j < i, ties to the smallest j; parent[0] is -1.
 
-    Rows the tree does not certify scan the whole prefix.
+    dist and hits are the tree's answer for every point. A row they leave
+    open asks the tree again for _WIDEN times as many hits, in batches of
+    about _BATCH_HITS, until its prefix is shorter than the hit count; that
+    prefix is then scanned.
     """
-    parent = _certified_predecessors(pts, tree)
-    for i in np.flatnonzero(parent[1:] < 0) + 1:
-        parent[i] = np.argmin(np.hypot(pts[:i, 0] - pts[i, 0], pts[:i, 1] - pts[i, 1]))
+    n = len(pts)
+    parent = _certified_predecessors(pts, np.arange(n), dist, hits)
+    rows, k = np.flatnonzero(parent[1:] < 0) + 1, hits.shape[1]
+    while rows.size:
+        k = min(n, k * _WIDEN)
+        for i in rows[rows < k].tolist():
+            parent[i] = np.argmin(np.hypot(pts[:i, 0] - pts[i, 0], pts[:i, 1] - pts[i, 1]))
+        rows = rows[rows >= k]
+        step = max(1, _BATCH_HITS // k)
+        for start in range(0, len(rows), step):
+            batch = rows[start : start + step]
+            parent[batch] = _certified_predecessors(pts, batch, *tree.query(pts[batch], k=k))
+        rows = rows[parent[rows] < 0]
     return parent
 
 

@@ -2,8 +2,9 @@
 
 Nothing here shares code paths with the library: shortest paths come from
 Floyd-Warshall instead of Dijkstra, the solver reference enumerates every
-combination literally from the definitions, and spatial queries fall back
-to linear scans. Exact-equality assertions pin instances to integer edge
+combination literally from the definitions, spatial queries fall back
+to linear scans, and edge lists and coordinates are read one line at a
+time. Exact-equality assertions pin instances to integer edge
 weights, where float64 arithmetic is exact and both routes must agree
 bitwise.
 """
@@ -11,6 +12,7 @@ bitwise.
 import itertools
 import math
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Optional
 
 import numpy as np
@@ -221,3 +223,160 @@ def prefix_scan_predecessors(pts: np.ndarray) -> np.ndarray:
     for i in range(1, len(pts)):
         parent[i] = np.argmin(np.hypot(pts[:i, 0] - pts[i, 0], pts[:i, 1] - pts[i, 1]))
     return parent
+
+
+# ---------------------------------------------------------------------------
+# the line-by-line reading of edge lists and coordinates
+# ---------------------------------------------------------------------------
+
+
+def reference_densify(triples):
+    """Labelled edges (x, y, w) -> (labels, edges) over dense ids, one edge
+    at a time: ids in first-appearance order, x before y; each unordered
+    pair once as (u, v), u < v, at its first position, with its minimum weight."""
+    ids: dict = {}
+    edges: list[list] = []  # [u, v, w], mutable for the min-weight rule
+    pos: dict[tuple[int, int], int] = {}
+    for x, y, w in triples:
+        u = ids.setdefault(x, len(ids))
+        v = ids.setdefault(y, len(ids))
+        pair = (u, v) if u < v else (v, u)
+        i = pos.setdefault(pair, len(edges))
+        if i == len(edges):
+            edges.append([*pair, w])
+        elif w < edges[i][2]:
+            edges[i][2] = w
+    return list(ids), tuple((u, v, w) for u, v, w in edges)
+
+
+def reference_edge_lines(text: str):
+    """(u_token, v_token, weight) per edge line of an edge list, self-loops skipped."""
+    size_line_pending = False
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line:
+            continue
+        if line.startswith("%") or line.startswith("#"):
+            if line.lower().startswith("%%matrixmarket"):
+                size_line_pending = True
+            continue
+        if size_line_pending:
+            # MatrixMarket coordinate size line: "rows cols nnz"
+            size_line_pending = False
+            continue
+        parts = line.split()
+        if len(parts) < 2 or len(parts) > 3:
+            raise ValueError(f"line {lineno}: malformed edge line {line!r}")
+        u_tok, v_tok = parts[0], parts[1]
+        if u_tok == v_tok:
+            continue  # self-loop
+        if len(parts) < 3:
+            raise ValueError(f"line {lineno}: missing edge weight in {line!r}")
+        try:
+            w = float(parts[2])
+        except ValueError:
+            raise ValueError(f"line {lineno}: malformed weight {parts[2]!r}") from None
+        if not (0.0 < w < math.inf):
+            raise ValueError(
+                f"line {lineno}: weight must be positive and finite, got {parts[2]}"
+            )
+        yield u_tok, v_tok, w
+
+
+def reference_parse_edge_list(text: str) -> RoadNetwork:
+    labels, edges = reference_densify(reference_edge_lines(text))
+    if not edges:
+        raise ValueError("empty input: no edges found")
+    return RoadNetwork(vertex_count=len(labels), edges=edges, external_ids=tuple(labels))
+
+
+def reference_parse_coords(text: str, net: RoadNetwork) -> np.ndarray:
+    index = {ext: i for i, ext in enumerate(net.external_ids)}
+    coords = np.full((net.vertex_count, 2), np.nan)
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("%") or line.startswith("#"):
+            continue
+        parts = line.split()
+        if len(parts) != 3:
+            raise ValueError(f"line {lineno}: expected 'id x y', got {line!r}")
+        i = index.get(parts[0])
+        if i is None:
+            continue
+        if not math.isnan(coords[i, 0]):  # rows start as NaN, so this one is set
+            raise ValueError(f"line {lineno}: second coordinate line for id {parts[0]!r}")
+        try:
+            x, y = float(parts[1]), float(parts[2])
+        except ValueError:
+            raise ValueError(f"line {lineno}: malformed coordinates {line!r}") from None
+        if not (math.isfinite(x) and math.isfinite(y)):
+            raise ValueError(f"line {lineno}: coordinates must be finite, got {line!r}")
+        coords[i] = x, y
+    missing = np.flatnonzero(np.isnan(coords[:, 0]))
+    if missing.size:
+        first = net.external_ids[int(missing[0])]
+        raise ValueError(
+            f"{missing.size} vertices have no coordinates (first missing id: {first})"
+        )
+    return coords
+
+
+def reference_largest_component(net: RoadNetwork) -> RoadNetwork:
+    """The largest component by a search from each unlabelled vertex in id
+    order (ties to the component of the smallest id), re-densified edge by edge."""
+    adjacent: list[list[int]] = [[] for _ in range(net.vertex_count)]
+    for u, v, _ in net.edges:
+        adjacent[u].append(v)
+        adjacent[v].append(u)
+    label = [-1] * net.vertex_count
+    sizes: list[int] = []
+    for start in range(net.vertex_count):
+        if label[start] >= 0:
+            continue
+        label[start], stack = len(sizes), [start]
+        sizes.append(0)
+        while stack:
+            sizes[-1] += 1
+            for nxt in adjacent[stack.pop()]:
+                if label[nxt] < 0:
+                    label[nxt] = label[start]
+                    stack.append(nxt)
+    if len(sizes) == 1:
+        return net
+    best = sizes.index(max(sizes))
+    old, edges = reference_densify((u, v, w) for u, v, w in net.edges if label[u] == best)
+    if not old:
+        old = [label.index(best)]
+    return RoadNetwork(
+        vertex_count=len(old),
+        edges=edges,
+        external_ids=tuple(net.external_ids[i] for i in old),
+        coords=net.coords[old] if net.coords is not None else None,
+    )
+
+
+def reference_load_network(dataset, coords=None) -> RoadNetwork:
+    """Read as experiments.load_network does, one line at a time."""
+    net = reference_parse_edge_list(Path(dataset).read_text())
+    if coords is not None:
+        net = net.with_coords(reference_parse_coords(Path(coords).read_text(), net))
+    return reference_largest_component(net)
+
+
+def reference_edge_error(vertex_count: int, edges) -> Optional[str]:
+    """The message of the first bad edge, checked one edge at a time, or None."""
+    n = vertex_count
+    seen_pairs: set[tuple[int, int]] = set()
+    for u, v, w in edges:
+        if not (0 <= u < n and 0 <= v < n):
+            return f"edge ({u}, {v}) endpoint out of range [0, {n})"
+        if u == v:
+            return f"self-loop on vertex {u}"
+        if u > v:
+            return f"edge ({u}, {v}) not normalized to u < v"
+        if (u, v) in seen_pairs:
+            return f"parallel edge ({u}, {v})"
+        seen_pairs.add((u, v))
+        if not (0.0 < w < math.inf):
+            return f"edge ({u}, {v}) weight must be positive and finite, got {w}"
+    return None
