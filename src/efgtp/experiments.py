@@ -180,13 +180,10 @@ def threshold_quantiles(
 
 
 def load_network(dataset: str, coords: Optional[str] = None) -> RoadNetwork:
-    """Read an edge list (plus optional coordinates), keep the largest component.
-
-    The network is built once: the checked coordinates are set on it.
-    """
+    """Read an edge list (plus optional coordinates), keep the largest component."""
     net = parse_edge_list(Path(dataset).read_text())
     if coords is not None:
-        net.coords = parse_coords(Path(coords).read_text(), net)  # (n, 2), finite
+        net = net.with_coords(parse_coords(Path(coords).read_text(), net))
     if not is_connected(net):
         before = net.vertex_count
         net = largest_connected_component(net)

@@ -6,8 +6,8 @@ through one pass, `_densify`: ids in first-appearance order over the edge
 sequence, each pair once as u < v with its minimum weight. That keeps
 parse -> serialize -> parse an exact round trip.
 
-Reading works on whole arrays, not line by line: the text is split into
-lines once and into tokens once, with one token count per line; each
+Coordinates are read on whole arrays, not line by line: the text is split
+into lines once and into tokens once, with one token count per line; each
 check runs over all lines at once, and the first bad line (in line order)
 raises the message a line-by-line reading would give it. tests/support.py
 keeps that line-by-line reading as the reference.
@@ -15,9 +15,10 @@ keeps that line-by-line reading as the reference.
 
 from __future__ import annotations
 
+import copy
 import math
-from collections.abc import Mapping
-from dataclasses import dataclass, field, replace
+from collections.abc import Hashable, Iterable, Iterator, Mapping
+from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain, repeat
 from types import MappingProxyType
@@ -70,20 +71,25 @@ class RoadNetwork:
         self._edge_array = np.fromiter(edges, np.float64, 3 * len(self.edges)).reshape(-1, 3)
         if self.edges:
             self._check_edges()
-        if self.coords is not None:
-            coords = np.asarray(self.coords, dtype=np.float64)
-            if coords.shape != (n, 2):
-                raise ValueError(f"coords must have shape ({n}, 2), got {coords.shape}")
-            bad = np.flatnonzero(~np.isfinite(coords).all(axis=1))
-            if bad.size:
-                i = int(bad[0])
-                x, y = coords[i].tolist()  # plain floats in the message
-                ext = self.external_ids[i]
-                raise ValueError(f"vertex {ext}: coordinates must be finite, got ({x}, {y})")
-            self.coords = coords
+        self._check_coords()
         self._ext_index = dict(zip(self.external_ids, range(n)))
         if len(self._ext_index) != n:
             raise ValueError("external ids must be distinct")
+
+    def _check_coords(self) -> None:
+        if self.coords is None:
+            return
+        n = self.vertex_count
+        coords = np.asarray(self.coords, dtype=np.float64)
+        if coords.shape != (n, 2):
+            raise ValueError(f"coords must have shape ({n}, 2), got {coords.shape}")
+        bad = np.flatnonzero(~np.isfinite(coords).all(axis=1))
+        if bad.size:
+            i = int(bad[0])
+            x, y = coords[i].tolist()  # plain floats in the message
+            ext = self.external_ids[i]
+            raise ValueError(f"vertex {ext}: coordinates must be finite, got ({x}, {y})")
+        self.coords = coords
 
     def _check_edges(self) -> None:
         """Check every edge in one pass over its columns; the first offender,
@@ -136,7 +142,13 @@ class RoadNetwork:
             raise KeyError(f"unknown vertex id {external_id!r}") from None
 
     def with_coords(self, coords: np.ndarray) -> "RoadNetwork":
-        return replace(self, coords=coords)
+        """This network with these coordinates. Only the coordinates are
+        checked; the edge array, the id index and any CSR or component
+        labels already built are shared with this network."""
+        out = copy.copy(self)
+        out.coords = coords
+        out._check_coords()
+        return out
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, RoadNetwork):
@@ -240,32 +252,98 @@ class GroupSpec:
                 raise ValueError(f"group vertex {v} not in network")
 
 
-def _densify(pairs: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, tuple[Edge, ...]]:
-    """Labelled edges (x, y, w), x != y, as an (m, 2) array of non-negative
-    integer labels and its weights -> (labels, edges) over dense ids.
+def _densify(
+    triples: Iterable[tuple[Hashable, Hashable, float]],
+) -> tuple[list, tuple[Edge, ...]]:
+    """Labelled edges (x, y, w) -> (labels, edges) over dense ids.
 
     Labels get ids in first-appearance order, x before y; labels[i] is the
     label of id i. Each unordered pair is kept once as (u, v) with u < v,
     at the position of its first appearance, with its minimum weight.
     """
-    flat = pairs.ravel()
-    first = np.full(int(flat.max(initial=-1)) + 1, len(flat))
-    np.minimum.at(first, flat, np.arange(len(flat)))
-    labels = np.flatnonzero(first < len(flat))
-    labels = labels[np.argsort(first[labels])]
-    rank = np.empty(len(first), dtype=np.int64)
-    rank[labels] = np.arange(len(labels))
-    ids = rank[pairs]
-    u, v = np.minimum(ids[:, 0], ids[:, 1]), np.maximum(ids[:, 0], ids[:, 1])
-    key = u * len(labels) + v
-    ranked = np.sort(key)
-    if (ranked[1:] == ranked[:-1]).any():  # some pair repeats
-        _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
-        lightest = np.full(len(first), np.inf)
-        np.minimum.at(lightest, inverse, w)
-        order = np.argsort(first)  # the pairs in first-appearance order
-        u, v, w = u[first[order]], v[first[order]], lightest[order]
-    return labels, tuple(zip(u.tolist(), v.tolist(), w.tolist()))
+    ids: dict = {}
+    edges: list[list] = []  # [u, v, w], mutable for the min-weight rule
+    pos: dict[tuple[int, int], int] = {}
+    for x, y, w in triples:
+        u = ids.setdefault(x, len(ids))
+        v = ids.setdefault(y, len(ids))
+        pair = (u, v) if u < v else (v, u)
+        i = pos.setdefault(pair, len(edges))
+        if i == len(edges):
+            edges.append([*pair, w])
+        elif w < edges[i][2]:
+            edges[i][2] = w
+    return list(ids), tuple((u, v, w) for u, v, w in edges)
+
+
+def _edge_lines(text: str) -> Iterator[tuple[str, str, float]]:
+    """(u_token, v_token, weight) per edge line of an edge list, self-loops skipped."""
+    size_line_pending = False
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line:
+            continue
+        if line.startswith("%") or line.startswith("#"):
+            if line.lower().startswith("%%matrixmarket"):
+                size_line_pending = True
+            continue
+        if size_line_pending:
+            # MatrixMarket coordinate size line: "rows cols nnz"
+            size_line_pending = False
+            continue
+        parts = line.split()
+        if len(parts) < 2 or len(parts) > 3:
+            raise ValueError(f"line {lineno}: malformed edge line {line!r}")
+        u_tok, v_tok = parts[0], parts[1]
+        if u_tok == v_tok:
+            continue  # self-loop
+        if len(parts) < 3:
+            raise ValueError(f"line {lineno}: missing edge weight in {line!r}")
+        try:
+            w = float(parts[2])
+        except ValueError:
+            raise ValueError(f"line {lineno}: malformed weight {parts[2]!r}") from None
+        if not (0.0 < w < math.inf):
+            raise ValueError(
+                f"line {lineno}: weight must be positive and finite, got {parts[2]}"
+            )
+        yield u_tok, v_tok, w
+
+
+def parse_edge_list(text: str) -> RoadNetwork:
+    """Parse a line-oriented edge list (`u v w`) into a RoadNetwork.
+
+    Lines starting with '%' or '#' are comments. A MatrixMarket banner makes
+    the following size line be skipped. Vertex tokens are remapped to dense
+    0-based ids in first-appearance order; parallel edges collapse to the
+    minimum weight; self-loops are dropped.
+    """
+    labels, edges = _densify(_edge_lines(text))
+    if not edges:
+        raise ValueError("empty input: no edges found")
+    return RoadNetwork(vertex_count=len(labels), edges=edges, external_ids=tuple(labels))
+
+
+def _check_written_ids(ids: tuple[str, ...]) -> None:
+    """Raise unless every id reads back as itself: one whitespace-free
+    token that does not start with '%' or '#'."""
+    joined = " " + " ".join(ids)
+    # once the split gives the ids back, a space is only ever before an id
+    if joined.split() == list(ids) and " %" not in joined and " #" not in joined:
+        return
+    bad = next(ext for ext in ids if ext.split() != [ext] or ext.startswith(("%", "#")))
+    raise ValueError(
+        f"vertex id {bad!r} cannot be written: ids are whitespace-free tokens"
+        " that do not start with '%' or '#'"
+    )
+
+
+def format_edge_list(net: RoadNetwork) -> str:
+    """Serialize to `u v w` lines using external ids; inverse of parse.
+    An id that would not read back as itself raises ValueError."""
+    ext = net.external_ids
+    _check_written_ids(ext)
+    return "\n".join([f"{ext[u]} {ext[v]} {float(w)!r}" for u, v, w in net.edges]) + "\n"
 
 
 def _take(items: list, at: np.ndarray) -> list:
@@ -303,82 +381,6 @@ def _floats(tokens: list[str]) -> np.ndarray:
             float(tok)
         except ValueError:
             return np.fromiter(map(float, tokens[:i]), np.float64, i)
-
-
-def _edge_line_error(lineno: int, line: str) -> ValueError:
-    """The error of a bad edge line, as the line-by-line reading words it."""
-    parts = line.split()
-    if len(parts) < 2 or len(parts) > 3:
-        return ValueError(f"line {lineno}: malformed edge line {line!r}")
-    if len(parts) < 3:
-        return ValueError(f"line {lineno}: missing edge weight in {line!r}")
-    try:
-        float(parts[2])
-    except ValueError:
-        return ValueError(f"line {lineno}: malformed weight {parts[2]!r}")
-    return ValueError(f"line {lineno}: weight must be positive and finite, got {parts[2]}")
-
-
-def parse_edge_list(text: str) -> RoadNetwork:
-    """Parse a line-oriented edge list (`u v w`) into a RoadNetwork.
-
-    Lines starting with '%' or '#' are comments. A MatrixMarket banner makes
-    the following size line be skipped. Vertex tokens are remapped to dense
-    0-based ids in first-appearance order; parallel edges collapse to the
-    minimum weight; self-loops are dropped. The first bad line raises,
-    with its number.
-    """
-    lines, tokens, rows, starts, counts, comment = _tokenize(text)
-    banner = np.zeros(len(rows), dtype=bool)
-    for i in np.flatnonzero(comment).tolist():
-        banner[i] = tokens[starts[i]].lower().startswith("%%matrixmarket")
-    # a banner's size line: the first content line after it, comments between
-    content = np.flatnonzero(~comment)
-    banners = np.cumsum(banner)[content]
-    data = content[banners == np.concatenate(([0], banners[:-1]))]
-    rows, starts, counts = rows[data], starts[data], counts[data]
-    two = np.flatnonzero((counts == 2) | (counts == 3))
-    ends = _take(tokens, np.stack((starts[two], starts[two] + 1), axis=1).ravel())
-    # equal tokens, equal labels: each token's label is its last position in ends
-    last = dict(zip(ends, range(len(ends))))
-    pairs = np.fromiter(map(last.__getitem__, ends), np.int64, len(ends)).reshape(-1, 2)
-    edge = pairs[:, 0] != pairs[:, 1]  # self-loops are skipped
-    bad = np.ones(len(rows), dtype=bool)
-    bad[two] = edge & (counts[two] == 2)
-    weighted = np.flatnonzero(edge & (counts[two] == 3))
-    w = _floats(_take(tokens, starts[two[weighted]] + 2))
-    bad[two[weighted[: len(w)]]] |= ~((0.0 < w) & (w < math.inf))
-    bad[two[weighted[len(w) : len(w) + 1]]] = True  # the weight float() refused
-    if bad.any():
-        i = int(np.argmax(bad))
-        raise _edge_line_error(int(rows[i]) + 1, lines[rows[i]].strip())
-    if not len(w):
-        raise ValueError("empty input: no edges found")
-    labels, edges = _densify(pairs[weighted], w)
-    ids = tuple(_take(ends, labels))
-    return RoadNetwork(vertex_count=len(ids), edges=edges, external_ids=ids)
-
-
-def _check_written_ids(ids: tuple[str, ...]) -> None:
-    """Raise unless every id reads back as itself: one whitespace-free
-    token that does not start with '%' or '#'."""
-    joined = " " + " ".join(ids)
-    # once the split gives the ids back, a space is only ever before an id
-    if joined.split() == list(ids) and " %" not in joined and " #" not in joined:
-        return
-    bad = next(ext for ext in ids if ext.split() != [ext] or ext.startswith(("%", "#")))
-    raise ValueError(
-        f"vertex id {bad!r} cannot be written: ids are whitespace-free tokens"
-        " that do not start with '%' or '#'"
-    )
-
-
-def format_edge_list(net: RoadNetwork) -> str:
-    """Serialize to `u v w` lines using external ids; inverse of parse.
-    An id that would not read back as itself raises ValueError."""
-    ext = net.external_ids
-    _check_written_ids(ext)
-    return "\n".join([f"{ext[u]} {ext[v]} {float(w)!r}" for u, v, w in net.edges]) + "\n"
 
 
 def _coord_line_error(lineno: int, line: str, repeated: bool) -> ValueError:
@@ -497,10 +499,10 @@ def largest_connected_component(net: RoadNetwork) -> RoadNetwork:
     sizes = np.bincount(labels, minlength=count)
     best = int(np.argmax(sizes))  # argmax keeps the first (smallest-id) winner on ties
     keep = labels == best
-    e = net._edge_array
-    e = e[keep[e[:, 0].astype(np.int64)]]  # an edge's endpoints share a component
-    old, edges = _densify(e[:, :2].astype(np.int64), e[:, 2])
-    old = old.tolist() or [int(np.flatnonzero(keep)[0])]
+    # an edge's endpoints share a component, so testing u picks the kept edges
+    old, edges = _densify((u, v, w) for u, v, w in net.edges if keep[u])
+    if not old:
+        old = [int(np.flatnonzero(keep)[0])]
     return RoadNetwork(
         vertex_count=len(old),
         edges=edges,

@@ -39,10 +39,13 @@ SCALE = 10_000.0
 
 # Points the tree returns per vertex, the vertex itself included, in the one
 # query that both steps read: the predecessor search certifies rows from it,
-# and the pairs it forms are the first pool of proximity edges, so another
-# value would generate other networks. With the widened queries, first
-# queries of 6 to 13 hits generated the presets in times within this host's
-# run-to-run spread.
+# and the pairs it forms are the first pool of proximity edges. This is part
+# of the generated-network definition, not a tuning knob: another value
+# generates other networks and breaks every pinned digest. The predecessor
+# search reads the same hits because its result does not depend on their
+# number (open rows widen their own queries), and first queries of 6 to 13
+# hits generated the presets in times within run-to-run spread on a shared
+# 2-CPU x86 host.
 _HITS = 9
 
 # Certificate margin, relative, with u = 2**-53. The tree's distance,

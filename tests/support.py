@@ -1,11 +1,12 @@
 """Independent reference implementations the tests cross-check against.
 
-Nothing here shares code paths with the library: shortest paths come from
+Nothing here shares code paths with the library, apart from the edge-list
+parser that reference_load_network reads with: shortest paths come from
 Floyd-Warshall instead of Dijkstra, the solver reference enumerates every
 combination literally from the definitions, spatial queries fall back
-to linear scans, and edge lists and coordinates are read one line at a
-time. Exact-equality assertions pin instances to integer edge
-weights, where float64 arithmetic is exact and both routes must agree
+to linear scans, coordinates are read one line at a time, and components
+are found by a search. Exact-equality assertions pin instances to integer
+edge weights, where float64 arithmetic is exact and both routes must agree
 bitwise.
 """
 
@@ -17,7 +18,7 @@ from typing import Optional
 
 import numpy as np
 
-from efgtp import CategoryAssignment, EfGtpQuery, GroupSpec, RoadNetwork
+from efgtp import CategoryAssignment, EfGtpQuery, GroupSpec, RoadNetwork, parse_edge_list
 
 INTEGER_WEIGHTS = (1.0, 2.0, 3.0, 4.0, 5.0, 7.0, 9.0, 12.0)
 
@@ -226,68 +227,8 @@ def prefix_scan_predecessors(pts: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# the line-by-line reading of edge lists and coordinates
+# the line-by-line reading of coordinates, and the largest component
 # ---------------------------------------------------------------------------
-
-
-def reference_densify(triples):
-    """Labelled edges (x, y, w) -> (labels, edges) over dense ids, one edge
-    at a time: ids in first-appearance order, x before y; each unordered
-    pair once as (u, v), u < v, at its first position, with its minimum weight."""
-    ids: dict = {}
-    edges: list[list] = []  # [u, v, w], mutable for the min-weight rule
-    pos: dict[tuple[int, int], int] = {}
-    for x, y, w in triples:
-        u = ids.setdefault(x, len(ids))
-        v = ids.setdefault(y, len(ids))
-        pair = (u, v) if u < v else (v, u)
-        i = pos.setdefault(pair, len(edges))
-        if i == len(edges):
-            edges.append([*pair, w])
-        elif w < edges[i][2]:
-            edges[i][2] = w
-    return list(ids), tuple((u, v, w) for u, v, w in edges)
-
-
-def reference_edge_lines(text: str):
-    """(u_token, v_token, weight) per edge line of an edge list, self-loops skipped."""
-    size_line_pending = False
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        if line.startswith("%") or line.startswith("#"):
-            if line.lower().startswith("%%matrixmarket"):
-                size_line_pending = True
-            continue
-        if size_line_pending:
-            # MatrixMarket coordinate size line: "rows cols nnz"
-            size_line_pending = False
-            continue
-        parts = line.split()
-        if len(parts) < 2 or len(parts) > 3:
-            raise ValueError(f"line {lineno}: malformed edge line {line!r}")
-        u_tok, v_tok = parts[0], parts[1]
-        if u_tok == v_tok:
-            continue  # self-loop
-        if len(parts) < 3:
-            raise ValueError(f"line {lineno}: missing edge weight in {line!r}")
-        try:
-            w = float(parts[2])
-        except ValueError:
-            raise ValueError(f"line {lineno}: malformed weight {parts[2]!r}") from None
-        if not (0.0 < w < math.inf):
-            raise ValueError(
-                f"line {lineno}: weight must be positive and finite, got {parts[2]}"
-            )
-        yield u_tok, v_tok, w
-
-
-def reference_parse_edge_list(text: str) -> RoadNetwork:
-    labels, edges = reference_densify(reference_edge_lines(text))
-    if not edges:
-        raise ValueError("empty input: no edges found")
-    return RoadNetwork(vertex_count=len(labels), edges=edges, external_ids=tuple(labels))
 
 
 def reference_parse_coords(text: str, net: RoadNetwork) -> np.ndarray:
@@ -344,22 +285,28 @@ def reference_largest_component(net: RoadNetwork) -> RoadNetwork:
     if len(sizes) == 1:
         return net
     best = sizes.index(max(sizes))
-    old, edges = reference_densify((u, v, w) for u, v, w in net.edges if label[u] == best)
-    if not old:
-        old = [label.index(best)]
+    kept = [(u, v, w) for u, v, w in net.edges if label[u] == best]
+    ids: dict[int, int] = {}  # old id -> new id, in first appearance over the kept edges
+    for u, v, _ in kept:
+        ids.setdefault(u, len(ids))
+        ids.setdefault(v, len(ids))
+    old = list(ids) or [label.index(best)]
     return RoadNetwork(
         vertex_count=len(old),
-        edges=edges,
+        edges=tuple((min(ids[u], ids[v]), max(ids[u], ids[v]), w) for u, v, w in kept),
         external_ids=tuple(net.external_ids[i] for i in old),
         coords=net.coords[old] if net.coords is not None else None,
     )
 
 
 def reference_load_network(dataset, coords=None) -> RoadNetwork:
-    """Read as experiments.load_network does, one line at a time."""
-    net = reference_parse_edge_list(Path(dataset).read_text())
+    """Read as experiments.load_network does: the edge list by the library's
+    own line-by-line parser, the coordinates one line at a time, and the
+    largest component by a search."""
+    net = parse_edge_list(Path(dataset).read_text())
     if coords is not None:
-        net = net.with_coords(reference_parse_coords(Path(coords).read_text(), net))
+        coords = reference_parse_coords(Path(coords).read_text(), net)
+        net = RoadNetwork(net.vertex_count, net.edges, net.external_ids, coords)
     return reference_largest_component(net)
 
 

@@ -1,15 +1,16 @@
-"""The whole-array readers against the line-by-line reading in support.py.
+"""The whole-array coordinate reader and the loader against the
+line-by-line reading in support.py.
 
-Generated edge-list and coordinate texts must give equal networks, or a
-ValueError with the same text, line number included. The texts mix
-comments ('%', '#', indented), blank and whitespace-only lines, every
-line break str.splitlines honours, tabs, no-break and other Unicode
-spaces, MatrixMarket banners with comments before their size line,
-two-token self-loops, parallel edges with equal and smaller weights,
-weight tokens float() accepts ('1_0', '+1.5', '1e3', 'inf', 'nan',
-'-0.0', Arabic-Indic digits) and tokens it refuses, and coordinate lines
-for ids the network does not have. The edge checks of RoadNetwork are
-held to the one-edge-at-a-time checks the same way.
+Generated coordinate texts, and edge-list texts read with them, must
+give equal networks, or a ValueError with the same text, line number
+included. The texts mix comments ('%', '#', indented), blank and
+whitespace-only lines, every line break str.splitlines honours, tabs,
+no-break and other Unicode spaces, MatrixMarket banners with comments
+before their size line, two-token self-loops, parallel edges with equal
+and smaller weights, weight tokens float() accepts ('1_0', '+1.5',
+'1e3', 'inf', 'nan', '-0.0', Arabic-Indic digits) and tokens it refuses,
+and coordinate lines for ids the network does not have. The edge checks
+of RoadNetwork are held to the one-edge-at-a-time checks the same way.
 """
 
 import math
@@ -23,13 +24,12 @@ pytest.importorskip("hypothesis")
 from hypothesis import example, given  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from efgtp import RoadNetwork, load_network, parse_coords, parse_edge_list  # noqa: E402
+from efgtp import RoadNetwork, load_network, parse_coords  # noqa: E402
 
 from support import (  # noqa: E402
     reference_edge_error,
     reference_load_network,
     reference_parse_coords,
-    reference_parse_edge_list,
 )
 
 IDS = ("a", "b", "c", "d", "10", "010", "a#b", "\xe9", "%x")
@@ -120,16 +120,6 @@ def outcome(read, *args):
     if isinstance(out, np.ndarray):
         return "ok", out.shape, out.dtype, out.tobytes()
     return "ok", out
-
-
-
-
-@given(texts(edge_lines))
-@example("%%MatrixMarket matrix\r\n% a comment\r\n3 3 2\r\na b 1\r\n")
-@example("a b 2\x85b a 1 a b 1\x1cc c\x1dc d")
-@example("a\tb\xa01_0\n  # x\nb c nan\n")
-def test_parse_edge_list_matches_line_by_line(text):
-    assert outcome(parse_edge_list, text) == outcome(reference_parse_edge_list, text)
 
 
 @given(texts(coord_lines()))

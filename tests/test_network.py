@@ -167,6 +167,22 @@ class TestRoadNetworkValidation:
         assert net != net.with_coords(c)
         assert net.with_coords(c) == net.with_coords(c.copy())
 
+    def test_with_coords_checks_only_the_coords(self, monkeypatch):
+        net = path_network(3)
+        graph, labels = net.csgraph, component_labels(net)
+        checked = []
+        monkeypatch.setattr(RoadNetwork, "_check_edges", lambda self: checked.append(self))
+        c = np.arange(6).reshape(3, 2)  # ints, stored as float64
+        moved = net.with_coords(c)
+        assert checked == [] and net.coords is None
+        assert moved.coords.dtype == np.float64 and np.array_equal(moved.coords, c)
+        assert moved.edges is net.edges and moved._edge_array is net._edge_array
+        assert moved._ext_index is net._ext_index and moved.internal_id("2") == 2
+        assert moved.csgraph is graph and component_labels(moved) is labels
+        with pytest.raises(ValueError, match="shape"):
+            net.with_coords(np.zeros((2, 2)))
+        assert net.with_coords(c).with_coords(None).coords is None
+
 
 class TestCoords:
     def test_parse_and_format_round_trip(self):
