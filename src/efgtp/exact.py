@@ -165,15 +165,59 @@ def evaluate_route(
 ) -> EvaluatedRoute:
     """Evaluate one combination: per-member trips, total, gap, feasibility.
     per_member[i] is member i's individual distance, aggregated the group's
-    aggregated distance, and max_gap the envy gap."""
+    aggregated distance, and max_gap the envy gap.
+
+    Every leg is read from the row of its member or of its earlier POI. An
+    oracle that holds a row already fetches the member and chain rows in
+    one call. A fresh on-demand oracle fetches the rows of the route's POIs
+    instead and reads each member's leg from a search stopped near it
+    (_bounded_legs). Both give the same bits."""
     rho = tuple(rho)
     validate_combination(query.categories, rho)
     sources, destinations = query.group.sources, query.group.destinations
-    oracle.prefetch((*sources, *rho[:-1], *destinations))  # every row read below
-    s = [oracle.dist(v, rho[0]) for v in sources]
+    if oracle.holds_any():
+        oracle.prefetch((*sources, *rho[:-1], *destinations))  # every row read below
+        s = [oracle.dist(v, rho[0]) for v in sources]
+        t = [oracle.dist(v, rho[-1]) for v in destinations]
+    else:
+        s, t = _bounded_legs(query, rho, oracle)
     chain = [oracle.dist(u, v) for u, v in zip(rho, rho[1:])]
-    t = [oracle.dist(v, rho[-1]) for v in destinations]
     return _route(rho, s, chain, t, query.envy_threshold)
+
+
+def _gamma(m: int) -> float:
+    """gamma_m = m*u/(1 - m*u), u = 2**-53: the relative error bound of an
+    m-term float sum of non-negative terms (Higham, section 3.1)."""
+    return m * 2.0**-53 / (1 - m * 2.0**-53)
+
+
+def _bounded_legs(
+    query: EfGtpQuery, rho: PoiCombination, oracle: DistanceOracle
+) -> tuple[list[float], list[float]]:
+    """The source and destination legs of rho from one Dijkstra call for
+    the rows of every POI of rho, which stay memoized, then one search per
+    distinct member vertex, stopped at a bound read from those rows
+    (DistanceOracle.bounded_row).
+
+    Source i's leg is bounded by row(rho[0])[s_i], destination i's by
+    row(rho[-1])[t_i]: the same distances read from the other end. Each
+    Dijkstra distance lies within gamma_{n-1} (relative) of the exact one
+    (see _slack), and the exact distance is symmetric, so a member's own
+    entry y and the bound x satisfy y <= x*(1 + gamma_n)/(1 - gamma_n). The
+    limit x*(1 + 4*gamma_{n+1}) exceeds that, also after rounding the
+    factor and the product. A subnormal x needs no factor: additions never
+    round on underflow, so it is an exact path length, and so is y.
+    """
+    sources, destinations = query.group.sources, query.group.destinations
+    first, last = rho[0], rho[-1]
+    oracle.prefetch(rho)  # the chain rows and the last POI's
+    bounds: dict[int, float] = {}
+    for end, members in ((first, sources), (last, destinations)):
+        for v in members:
+            bounds[v] = max(bounds.get(v, 0.0), oracle.dist(end, v))
+    scale = 1 + 4 * _gamma(oracle.vertex_count + 1)
+    reach = {v: oracle.bounded_row(v, x * scale) for v, x in bounds.items()}
+    return [float(reach[v][first]) for v in sources], [float(reach[v][last]) for v in destinations]
 
 
 # ---------------------------------------------------------------------------
@@ -345,8 +389,8 @@ def _slack(query: EfGtpQuery, tables: _Tables, landmark_max: float, ub: float) -
     """delta: how far a computed landmark bound can exceed the computed
     aggregate of a combination whose aggregate is at most ub.
 
-    With u = 2**-53 and gamma_m = m*u/(1 - m*u), the relative error bound of
-    an m-term float sum of non-negative terms (Higham, section 3.1):
+    With gamma_m the relative error bound of an m-term float sum of
+    non-negative terms (_gamma):
 
     - A Dijkstra distance sums at most n - 1 weights, so it lies within
       gamma_{n-1} (relative) of the exact distance d*.
@@ -366,8 +410,7 @@ def _slack(query: EfGtpQuery, tables: _Tables, landmark_max: float, ub: float) -
     also covers rounding this formula and ub + delta.
     """
     b, k = query.b, query.k
-    m = tables.members.shape[1] + 2 * b + 2 * k
-    gamma = m * 2.0**-53 / (1 - m * 2.0**-53)
+    gamma = _gamma(tables.members.shape[1] + 2 * b + 2 * k)
     return 4 * gamma * (ub + b * (k - 1) * landmark_max)
 
 
@@ -454,11 +497,12 @@ def _pruned_positions(
     if sum(map(len, out)) >= k:  # more than the k - 1 rows fetched survive
         landmarks = np.vstack([tables.members, rows])
         out = within(*_landmark_bounds(query, tables, landmarks, firsts, lasts, pairs)[:2])
-    logger.info(
-        "landmark bound: fetched %d of %d chain rows",
-        len(_chain_rows(query, tables, out)),
-        len(_chain_rows(query, tables, positions)),
-    )
+    if logger.isEnabledFor(logging.INFO):  # the counts cost two set builds
+        logger.info(
+            "landmark bound: fetched %d of %d chain rows",
+            len(_chain_rows(query, tables, out)),
+            len(_chain_rows(query, tables, positions)),
+        )
     return out
 
 

@@ -176,7 +176,7 @@ def threshold_quantiles(
     """Envy thresholds at the given quantiles of the instance's pair gaps
     (gap_distribution: one unweighted entry per (first, last) POI pair)."""
     gaps = gap_distribution(query, oracle)
-    return tuple(float(np.quantile(gaps, q)) for q in quantiles)
+    return tuple(np.quantile(gaps, quantiles).tolist())
 
 
 def load_network(dataset: str, coords: Optional[str] = None) -> RoadNetwork:

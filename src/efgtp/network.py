@@ -41,7 +41,8 @@ class RoadNetwork:
     external_ids[i] is the original dataset token for internal id i.
     coords, when present, is an (n, 2) float64 array of finite planar positions.
     csgraph is the symmetric CSR adjacency, built from the edges on first use;
-    component_labels stores its result beside it on first use. The edges are
+    component_labels stores its result beside it on first use, and the
+    writers their check of the external ids on the first write. The edges are
     also kept as an (m, 3) float64 array of (u, v, w) rows, which the checks
     and the CSR build read.
     """
@@ -135,6 +136,12 @@ class RoadNetwork:
             self._csgraph = csr_matrix((np.concatenate((w, w)), (rows, cols)), shape=(n, n))
         return self._csgraph
 
+    @cached_property
+    def _unwritable_id(self) -> Optional[str]:
+        """The first external id that would not read back from a written
+        file, or None (_unwritable), found once per network."""
+        return _unwritable(self.external_ids)
+
     def internal_id(self, external_id: str) -> int:
         try:
             return self._ext_index[str(external_id)]
@@ -143,8 +150,8 @@ class RoadNetwork:
 
     def with_coords(self, coords: np.ndarray) -> "RoadNetwork":
         """This network with these coordinates. Only the coordinates are
-        checked; the edge array, the id index and any CSR or component
-        labels already built are shared with this network."""
+        checked; the edge array, the id index and any CSR, component
+        labels or id check already made are shared with this network."""
         out = copy.copy(self)
         out.coords = coords
         out._check_coords()
@@ -324,25 +331,32 @@ def parse_edge_list(text: str) -> RoadNetwork:
     return RoadNetwork(vertex_count=len(labels), edges=edges, external_ids=tuple(labels))
 
 
-def _check_written_ids(ids: tuple[str, ...]) -> None:
-    """Raise unless every id reads back as itself: one whitespace-free
-    token that does not start with '%' or '#'."""
+def _unwritable(ids: tuple[str, ...]) -> Optional[str]:
+    """The first id that would not read back as itself, or None: every id
+    must be one whitespace-free token that does not start with '%' or '#'."""
     joined = " " + " ".join(ids)
     # once the split gives the ids back, a space is only ever before an id
     if joined.split() == list(ids) and " %" not in joined and " #" not in joined:
-        return
-    bad = next(ext for ext in ids if ext.split() != [ext] or ext.startswith(("%", "#")))
-    raise ValueError(
-        f"vertex id {bad!r} cannot be written: ids are whitespace-free tokens"
-        " that do not start with '%' or '#'"
-    )
+        return None
+    return next(ext for ext in ids if ext.split() != [ext] or ext.startswith(("%", "#")))
+
+
+def _check_written_ids(net: RoadNetwork) -> None:
+    """Raise unless every external id of net reads back as itself. The ids
+    are checked on the first write of the network and the verdict kept."""
+    bad = net._unwritable_id
+    if bad is not None:
+        raise ValueError(
+            f"vertex id {bad!r} cannot be written: ids are whitespace-free tokens"
+            " that do not start with '%' or '#'"
+        )
 
 
 def format_edge_list(net: RoadNetwork) -> str:
     """Serialize to `u v w` lines using external ids; inverse of parse.
     An id that would not read back as itself raises ValueError."""
+    _check_written_ids(net)
     ext = net.external_ids
-    _check_written_ids(ext)
     return "\n".join([f"{ext[u]} {ext[v]} {float(w)!r}" for u, v, w in net.edges]) + "\n"
 
 
@@ -439,7 +453,7 @@ def format_coords(net: RoadNetwork) -> str:
     """Serialize to `id x y` lines; an id that would not read back raises."""
     if net.coords is None:
         raise ValueError("network has no coordinates")
-    _check_written_ids(net.external_ids)
+    _check_written_ids(net)
     x, y = net.coords.T.tolist()
     return "\n".join([f"{i} {a!r} {b!r}" for i, a, b in zip(net.external_ids, x, y)]) + "\n"
 

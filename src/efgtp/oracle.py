@@ -50,10 +50,12 @@ class CapacityError(RuntimeError):
 class DistanceOracle:
     """dist(u, v) lookups over a fixed network.
 
-    Every read goes through one store of read-only rows. Given a matrix
-    (full mode), the store holds a view of each of its rows from the start;
-    build_oracle's matrix is private to this process, whether one serial
-    call or forked workers computed it, and bitwise the same either way.
+    Every read but bounded_row's goes through one store of read-only rows;
+    bounded_row searches only up to its limit and stores nothing. Given a
+    matrix (full mode), the store holds a view of each of its rows from the
+    start; build_oracle's matrix is private to this process, whether one
+    serial call or forked workers computed it, and bitwise the same either
+    way.
     Otherwise (on-demand mode) rows are memoized as sources are queried,
     running Dijkstra on net.csgraph in this process, however many rows a
     call asks for. Insertion is lock-protected so that concurrent readers
@@ -103,6 +105,11 @@ class DistanceOracle:
         """Whether the row of s is in the store (reading it computes nothing)."""
         return s in self._rows
 
+    def holds_any(self) -> bool:
+        """Whether the store holds any row: False only on an on-demand
+        oracle before its first fetch."""
+        return bool(self._rows)
+
     def row(self, s: int) -> np.ndarray:
         """Read-only distance vector from s."""
         row = self._rows.get(s)
@@ -130,6 +137,21 @@ class DistanceOracle:
         for i, s in enumerate(sources):
             out[i] = self._rows[s]
         out.setflags(write=False)
+        return out
+
+    def bounded_row(self, s: int, limit: float) -> np.ndarray:
+        """Read-only distance vector from s of a search stopped at limit:
+        every entry up to limit, limit included, is bitwise that of row(s),
+        and every other entry is inf. One Dijkstra call per read; the row
+        is never stored.
+
+        A Dijkstra distance is the least left-to-right float sum over the
+        paths to its vertex, and a path's running sum never falls, so the
+        stopped search still walks every path whose sum stays within limit.
+        """
+        self._check(s)
+        out = _dijkstra(self.net.csgraph, directed=True, indices=[s], limit=limit)[0]
+        _freeze(out)
         return out
 
     def dist(self, u: int, v: int) -> float:

@@ -368,16 +368,22 @@ class TestOracleStates:
             assert set(oracle._rows) == members
 
     def test_evaluate_route_fetches_its_rows_in_one_call(self, europe, monkeypatch):
+        # a fresh oracle memoizes only the rows of the route's POIs, in one
+        # call, and searches once per member up to a bound; from then on the
+        # oracle holds a row, so evaluations fetch every missing row in one call
         cats = assign_categories(europe, 3, 5, seed=90)
         q = generate_query(europe, 4, cats, D=math.inf, seed=91)
         rho = tuple(cat[0] for cat in cats.categories)
         oracle = build_oracle(europe)
-        calls = []
-        memoize = oracle._memoize
+        calls, searched = [], []
+        memoize, bounded = oracle._memoize, oracle.bounded_row
         monkeypatch.setattr(oracle, "_memoize", lambda s: (calls.append(set(s)), memoize(s)))
-        evaluate_route(q, rho, oracle)
-        members = set(q.group.sources) | set(q.group.destinations)
-        assert calls == [members | set(rho[:-1])]
+        monkeypatch.setattr(oracle, "bounded_row", lambda s, x: searched.append(s) or bounded(s, x))
+        first = evaluate_route(q, rho, oracle)
+        members = q.group.sources + q.group.destinations
+        assert calls == [set(rho)] and searched == list(members)
+        assert repr(evaluate_route(q, rho, oracle)) == repr(first)
+        assert calls == [set(rho), set(members)] and len(searched) == len(members)
 
     def test_feasible_fast_solve_fetches_feasible_firsts_and_interior(self, europe, monkeypatch):
         # a cold oracle fetches at most the rows of the feasible firsts and
@@ -422,6 +428,76 @@ class TestOracleStates:
                 oracle = build_oracle(europe)
                 assert not solve_exact(q, oracle, **kwargs).feasible
                 assert set(oracle._rows) == members | starts
+
+
+class TestBoundedLegs:
+    """On a fresh on-demand oracle, evaluate_route reads each member leg from
+    a search stopped at a bound read from the rows of the route's POIs. Its
+    answer must equal, to the bit, the one read from the full member rows."""
+
+    @staticmethod
+    def cold_and_prefetched(q, rho, net):
+        warm = build_oracle(net)
+        warm.prefetch(q.group.sources + q.group.destinations)
+        cold = evaluate_route(q, rho, build_oracle(net))
+        assert repr(cold) == repr(evaluate_route(q, rho, warm))
+        return cold
+
+    def test_non_integer_weights(self, europe):
+        for k, b in itertools.product((1, 2, 3, 4), (1, 2, 5)):
+            cats = assign_categories(europe, k, 8, seed=120 + k)
+            q = generate_query(europe, b, cats, D=math.inf, seed=130 + k * b)
+            rng = np.random.default_rng(k * 10 + b)
+            for _ in range(3):
+                self.cold_and_prefetched(q, tuple(int(rng.choice(c)) for c in cats.categories), europe)
+
+    def test_tied_distances(self):
+        # small integer weights: many vertices share each distance, so the
+        # bounds land on ties
+        for seed in range(12):
+            rng = np.random.default_rng(seed)
+            net = random_network(rng, 30)
+            k, b = 1 + seed % 4, 1 + seed % 3
+            q = random_query(rng, net, k, 3, b, math.inf)
+            for rho in itertools.islice(itertools.product(*q.categories.categories), 6):
+                self.cold_and_prefetched(q, rho, net)
+
+    def test_route_poi_on_member_vertex(self, europe):
+        cats = assign_categories(europe, 3, 6, seed=140)
+        rho = tuple(cat[1] for cat in cats.categories)
+        other = generate_query(europe, 2, cats, D=math.inf, seed=141).group
+        for sources, destinations in (
+            ((rho[0], other.sources[0]), (rho[-1], other.destinations[1])),  # bounds of 0
+            ((rho[1], rho[-1]), (rho[0], rho[1])),  # interior and swapped ends
+            ((rho[0], rho[0]), (rho[0], rho[-1])),  # one vertex as source and destination
+        ):
+            for k in (1, 3):
+                q = query(sources, destinations, cats.categories[:k], math.inf)
+                self.cold_and_prefetched(q, rho[:k], europe)
+
+    def test_limit_equal_to_the_distance(self, europe):
+        # bounded_row keeps every entry up to its limit, limit included,
+        # bit for bit, on non-integer weights and on ties
+        for net in (europe, random_network(np.random.default_rng(5), 40)):
+            full = build_oracle(net, FULL)
+            oracle = build_oracle(net)
+            for s in (0, 7, 19):
+                row = full.row(s)
+                for v in (s, 3, 11, 31):
+                    got = oracle.bounded_row(s, row[v])
+                    assert np.array_equal(got, np.where(row <= row[v], row, np.inf))
+                    assert got[v] == row[v] and not got.flags.writeable
+            assert not oracle.holds_any()  # bounded rows are never stored
+
+    def test_bounded_row_checks_ids_and_reads_no_row(self, europe, monkeypatch):
+        oracle = build_oracle(europe)
+        for bad in (-1, europe.vertex_count):
+            with pytest.raises(ValueError, match="out of range"):
+                oracle.bounded_row(bad, 1.0)
+        cats = assign_categories(europe, 2, 5, seed=150)
+        q = generate_query(europe, 3, cats, D=math.inf, seed=151)
+        monkeypatch.setattr(type(oracle), "row", lambda *a: pytest.fail("row() was called"))
+        evaluate_route(q, (cats.categories[0][0], cats.categories[1][0]), oracle)
 
 
 class TestMinAdditionalDistance:
@@ -565,6 +641,22 @@ def test_pruned_solve_logs_its_rows(europe, caplog):
     assert [m for m in messages if not m.startswith("pair-gap table")] == [
         f"landmark bound: fetched {fetched} of 20 chain rows"
     ]
+
+
+def test_pruned_solve_counts_rows_only_for_its_log(europe, caplog, monkeypatch):
+    # the log line's two row counts are built only when INFO is enabled;
+    # _should_prune's one call remains either way
+    cats = assign_categories(europe, 3, 10, seed=403)
+    q = generate_query(europe, 4, cats, D=math.inf, seed=422)
+    calls = []
+    chain_rows = efgtp.exact._chain_rows
+    monkeypatch.setattr(efgtp.exact, "_chain_rows", lambda *a: calls.append(1) or chain_rows(*a))
+    caplog.set_level(logging.WARNING, logger="efgtp.exact")
+    quiet = solve_exact(q, build_oracle(europe))
+    assert len(calls) == 1
+    caplog.set_level(logging.INFO, logger="efgtp.exact")
+    assert repr(solve_exact(q, build_oracle(europe))) == repr(quiet)
+    assert len(calls) == 4
 
 
 def outcome(fn, query, oracle) -> str:

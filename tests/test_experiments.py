@@ -175,6 +175,19 @@ class TestThresholdQuantiles:
         assert got[0] == min(gaps) and got[-1] == max(gaps)
         assert list(got) == sorted(got)
 
+    def test_one_call_equals_one_call_per_quantile(self):
+        # integer weights give tied gaps; the quantiles fall between and on them
+        quantiles = (*np.linspace(0.0, 1.0, 41).tolist(), 1 / 3, 0.001, 0.999, 0.5, 0.0)
+        for seed in range(6):
+            net = random_network(np.random.default_rng(seed), 40)
+            oracle = build_oracle(net)
+            q = generate_query(net, 3, assign_categories(net, 2, 6, seed=seed), D=0.0, seed=seed)
+            gaps = gap_distribution(q, oracle)
+            want = tuple(float(np.quantile(gaps, x)) for x in quantiles)
+            got = threshold_quantiles(q, oracle, quantiles)
+            assert got == want and all(type(x) is float for x in got)
+        assert threshold_quantiles(q, oracle, ()) == ()
+
 
 def strip_times(records):
     return [dataclasses.replace(r, wall_time_ms=0.0) for r in records]

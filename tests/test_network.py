@@ -7,6 +7,7 @@ import re
 import numpy as np
 import pytest
 
+import efgtp.network
 from efgtp import (
     CategoryAssignment,
     GroupSpec,
@@ -233,6 +234,33 @@ class TestWriters:
         for writer in (format_edge_list, format_coords):
             with pytest.raises(ValueError, match=r"^vertex id '#a' cannot be written"):
                 writer(net)
+
+    @pytest.mark.parametrize("bad", UNREADABLE)
+    @pytest.mark.parametrize("first", [format_edge_list, format_coords])
+    def test_both_writers_refuse_in_either_order(self, first, bad):
+        # the verdict is kept on the network after the first write; the
+        # second writer must still refuse, with the same words
+        net = RoadNetwork(3, ((0, 1, 1.0), (1, 2, 2.0)), ("b", bad, "c"), np.zeros((3, 2)))
+        second = format_coords if first is format_edge_list else format_edge_list
+        message = (
+            f"^vertex id {re.escape(repr(bad))} cannot be written: ids are whitespace-free"
+            " tokens that do not start with '%' or '#'$"
+        )
+        for writer in (first, second, first):
+            with pytest.raises(ValueError, match=message):
+                writer(net)
+
+    def test_ids_checked_once_per_network(self, monkeypatch):
+        calls = []
+        check = efgtp.network._unwritable
+        monkeypatch.setattr(efgtp.network, "_unwritable", lambda ids: calls.append(ids) or check(ids))
+        net = RoadNetwork(3, ((0, 1, 1.0), (1, 2, 2.0)), ("a", "b", "c"), np.ones((3, 2)))
+        for writer in (format_edge_list, format_coords, format_edge_list):
+            writer(net)
+        format_coords(net.with_coords(np.zeros((3, 2))))  # same ids, same verdict
+        assert calls == [("a", "b", "c")]
+        format_edge_list(parse_edge_list(format_edge_list(net)))  # a new network checks its own
+        assert calls == [("a", "b", "c")] * 2
 
     def test_ids_that_read_back_are_written(self):
         # a comment sign inside an id, or an id of another script, reads back as itself

@@ -372,7 +372,9 @@ class TestColdBudget:
     @pytest.mark.parametrize("k", [1, 3])
     def test_euclidean_heuristic(self, europe, dijkstra_calls, k):
         solve_heuristic(self.query(europe, k, 4, math.inf), build_oracle(europe), index="euclidean")
-        assert len(dijkstra_calls) == 1  # evaluate_route's one prefetch
+        # evaluate_route on a fresh oracle: one call for the rows of the k
+        # route POIs, then one bounded search per member vertex
+        assert dijkstra_calls == [k] + [1] * 8
 
     def test_infeasible_exact_and_mad(self, europe, dijkstra_calls):
         q = self.query(europe, 3, 4, 0.0)
