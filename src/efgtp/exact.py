@@ -168,10 +168,10 @@ def evaluate_route(
     aggregated distance, and max_gap the envy gap.
 
     Every leg is read from the row of its member or of its earlier POI. An
-    oracle that holds a row already fetches the member and chain rows in
-    one call. A fresh on-demand oracle fetches the rows of the route's POIs
-    instead and reads each member's leg from a search stopped near it
-    (_bounded_legs). Both give the same bits."""
+    oracle that holds a row already fetches the missing member and chain
+    rows in one call. A fresh on-demand oracle fetches the rows of the
+    route's POIs instead and reads each member's leg from a search stopped
+    near it (_bounded_legs). Both give the same bits."""
     rho = tuple(rho)
     validate_combination(query.categories, rho)
     sources, destinations = query.group.sources, query.group.destinations
@@ -206,7 +206,8 @@ def _bounded_legs(
     entry y and the bound x satisfy y <= x*(1 + gamma_n)/(1 - gamma_n). The
     limit x*(1 + 4*gamma_{n+1}) exceeds that, also after rounding the
     factor and the product. A subnormal x needs no factor: additions never
-    round on underflow, so it is an exact path length, and so is y.
+    round on underflow, so x is the exact length of a path whose reverse
+    gives y <= x.
     """
     sources, destinations = query.group.sources, query.group.destinations
     first, last = rho[0], rho[-1]
